@@ -1,4 +1,4 @@
-//! DESIGN.md ablation #3: the cache simulator against the analytical
+//! Ablation: the cache simulator against the analytical
 //! locality model — simulation throughput, plus (in the analysis test of
 //! `pte-machine`) agreement on schedule ordering.
 

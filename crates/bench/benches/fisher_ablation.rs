@@ -1,4 +1,4 @@
-//! DESIGN.md ablation #1: the Fisher legality filter on vs off.
+//! Ablation: the Fisher legality filter on vs off.
 //!
 //! With the filter disabled (tolerance 1.0 ≙ accept-all), every candidate —
 //! including capacity-destroying ones — reaches the tuner: the search gets

@@ -57,9 +57,8 @@ use pte_core::tensor::Tensor;
 use pte_core::transform::Schedule;
 use pte_serve::client::Client;
 use pte_serve::codec::PlanPayload;
-use pte_serve::codec_bin;
 use pte_serve::server::{serve, ServerConfig};
-use pte_serve::workload::bench_request as request;
+use pte_serve::workload::{bench_request as request, settled_thread_count, thread_count};
 
 fn time_ms<O>(reps: u32, mut f: impl FnMut() -> O) -> f64 {
     std::hint::black_box(f()); // warm-up
@@ -391,15 +390,11 @@ struct ServeReport {
     cold_ms: f64,
     /// Mean warm-cache request (pure cache hit over TCP).
     warm_ms: f64,
-    /// Warm-request latency percentiles per codec (ms).
+    /// Warm-request latency percentiles (ms).
     json_warm_p50_ms: f64,
     json_warm_p95_ms: f64,
-    binary_warm_p50_ms: f64,
-    binary_warm_p95_ms: f64,
-    /// The served plan's wire size per codec: canonical JSON text vs the
-    /// varint-packed binary payload body, same plan, same bytes decoded.
+    /// The served plan's wire size: its canonical JSON text.
     json_payload_bytes: usize,
-    binary_payload_bytes: usize,
     /// Concurrent duplicate clients fired at one fresh request...
     collapse_clients: usize,
     /// ...and how many searches the single-flight cache actually ran.
@@ -409,8 +404,7 @@ struct ServeReport {
     /// ...without growing the process thread count (None when
     /// /proc/self/status is unavailable and the check cannot run).
     threads_flat: Option<bool>,
-    /// Served payloads (cold, warm, every collapse reply, both codecs)
-    /// byte-identical to the direct in-process search's codec output.
+    /// Served payloads (cold, warm, every collapse reply) byte-identical to the direct in-process search's codec output.
     identical: bool,
 }
 
@@ -418,14 +412,10 @@ impl ServeReport {
     fn warm_speedup(&self) -> f64 {
         self.cold_ms / self.warm_ms
     }
-
-    fn payload_ratio(&self) -> f64 {
-        self.json_payload_bytes as f64 / self.binary_payload_bytes as f64
-    }
 }
 
 /// Telemetry cost accounting: the complete per-request record path a warm
-/// JSON cache hit executes — the per-codec, per-op, and cache-hit
+/// cache hit executes — the `pte_request_json_us`, per-op, and cache-hit
 /// histogram records, the queue-depth gauge, and the `search` root span
 /// (two clock reads plus one histogram record) — microbenchmarked in
 /// isolation and priced against the measured warm p50. Histograms are
@@ -487,12 +477,6 @@ fn percentile_ms(latencies: &mut [f64], q: f64) -> f64 {
     latencies[rank - 1]
 }
 
-/// This process's thread count (`/proc/self/status`), `None` off-Linux.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|v| v.trim().parse().ok())
-}
-
 /// Cold vs warm serving throughput and the single-flight collapse, over a
 /// real TCP daemon started in-process on an ephemeral port.
 fn serve_report(reps: u32) -> ServeReport {
@@ -507,20 +491,14 @@ fn serve_report(reps: u32) -> ServeReport {
     let idle_connections = if quick_mode() { 64 } else { 256 };
     let threads_before = thread_count();
     let mut parked: Vec<Client> = (0..idle_connections)
-        .map(|i| {
-            let mut c = if i % 2 == 0 {
-                Client::connect(addr).expect("parked connect")
-            } else {
-                Client::connect_binary(addr).expect("parked connect binary")
-            };
+        .map(|_| {
+            let mut c = Client::connect(addr).expect("parked connect");
             c.ping().expect("parked ping");
             c
         })
         .collect();
-    let threads_flat = match (threads_before, thread_count()) {
-        (Some(before), Some(after)) => Some(before == after),
-        _ => None,
-    };
+    let threads_flat =
+        threads_before.and_then(|before| settled_thread_count(before).map(|after| before == after));
 
     // Cold: the probe memo and plan cache both start empty, so this request
     // pays the full search (the workload a cache miss really costs).
@@ -530,14 +508,11 @@ fn serve_report(reps: u32) -> ServeReport {
     let cold_ms = start.elapsed().as_secs_f64() * 1e3;
     assert!(!cold.cache_hit, "first request must miss");
 
-    // The wire-size story for this exact plan: canonical JSON text vs the
-    // varint-packed binary payload body.
+    // The wire size of this exact plan.
     let json_payload_bytes = cold.payload_canonical.len();
-    let binary_payload_bytes =
-        codec_bin::encode_payload(&cold.payload).expect("pack payload").len();
 
     // Warm: the same request is now a pure cache hit — timed per request
-    // over both codecs so the tail is visible, not just the mean.
+    // so the tail is visible, not just the mean.
     let warm_reps = reps * 40;
     let mut last_warm = None;
     let mut json_lat = Vec::with_capacity(warm_reps as usize);
@@ -550,17 +525,6 @@ fn serve_report(reps: u32) -> ServeReport {
         last_warm = Some(reply);
     }
     let warm_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(warm_reps);
-
-    let mut bin_client = Client::connect_binary(addr).expect("connect binary");
-    let mut bin_lat = Vec::with_capacity(warm_reps as usize);
-    let mut last_bin_warm = None;
-    for _ in 0..warm_reps {
-        let req_start = Instant::now();
-        let reply = bin_client.search(&request(1)).expect("binary warm search");
-        bin_lat.push(req_start.elapsed().as_secs_f64() * 1e3);
-        assert!(reply.cache_hit, "binary warm request must hit the shared cache");
-        last_bin_warm = Some(reply);
-    }
 
     // Collapse: concurrent duplicates of a fresh request; single-flight
     // must run exactly one search.
@@ -599,7 +563,6 @@ fn serve_report(reps: u32) -> ServeReport {
     };
     let identical = cold.payload_canonical == expected
         && last_warm.map(|w| w.payload_canonical == expected).unwrap_or(false)
-        && last_bin_warm.map(|w| w.payload_canonical == expected).unwrap_or(false)
         && collapse_payloads.iter().all(|p| *p == fresh_expected);
 
     // The parked fleet is still alive after every phase — and still free.
@@ -614,10 +577,7 @@ fn serve_report(reps: u32) -> ServeReport {
         warm_ms,
         json_warm_p50_ms: percentile_ms(&mut json_lat, 0.50),
         json_warm_p95_ms: percentile_ms(&mut json_lat, 0.95),
-        binary_warm_p50_ms: percentile_ms(&mut bin_lat, 0.50),
-        binary_warm_p95_ms: percentile_ms(&mut bin_lat, 0.95),
         json_payload_bytes,
-        binary_payload_bytes,
         collapse_clients,
         collapse_searches,
         idle_connections,
@@ -795,20 +755,10 @@ fn main() {
         serve.identical
     );
     println!(
-        "{:<24} json p50 {:.4} / p95 {:.4} ms   binary p50 {:.4} / p95 {:.4} ms",
-        "warm_latency",
-        serve.json_warm_p50_ms,
-        serve.json_warm_p95_ms,
-        serve.binary_warm_p50_ms,
-        serve.binary_warm_p95_ms
+        "{:<24} json p50 {:.4} / p95 {:.4} ms",
+        "warm_latency", serve.json_warm_p50_ms, serve.json_warm_p95_ms
     );
-    println!(
-        "{:<24} {} bytes JSON -> {} bytes binary  ({:.1}x smaller)",
-        "payload_wire_size",
-        serve.json_payload_bytes,
-        serve.binary_payload_bytes,
-        serve.payload_ratio()
-    );
+    println!("{:<24} {} bytes JSON", "payload_wire_size", serve.json_payload_bytes);
     println!(
         "{:<24} {} idle keep-alive connections, threads flat: {}",
         "connection_scaling",
@@ -881,8 +831,8 @@ fn main() {
     "cold_search_ms": {serve_cold:.3},
     "warm_cache_ms": {serve_warm:.4},
     "warm_speedup": {serve_speedup:.1},
-    "warm_latency_ms": {{ "json_p50": {jp50:.4}, "json_p95": {jp95:.4}, "binary_p50": {bp50:.4}, "binary_p95": {bp95:.4} }},
-    "payload_bytes": {{ "json": {json_bytes}, "binary": {bin_bytes}, "ratio": {payload_ratio:.2} }},
+    "warm_latency_ms": {{ "json_p50": {jp50:.4}, "json_p95": {jp95:.4} }},
+    "payload_bytes": {{ "json": {json_bytes} }},
     "connection_scaling": {{ "idle_keepalive_connections": {idle_conns}, "threads_flat": {threads_flat} }},
     "warm_restart": {{ "boot_to_first_reply_ms": {restart_ms:.2}, "first_request_hit": {restart_hit}, "bit_identical": {restart_identical} }},
     "singleflight_collapse": "{collapse_clients} duplicate clients -> {collapse_searches} search",
@@ -933,11 +883,7 @@ fn main() {
         serve_speedup = serve.warm_speedup(),
         jp50 = serve.json_warm_p50_ms,
         jp95 = serve.json_warm_p95_ms,
-        bp50 = serve.binary_warm_p50_ms,
-        bp95 = serve.binary_warm_p95_ms,
         json_bytes = serve.json_payload_bytes,
-        bin_bytes = serve.binary_payload_bytes,
-        payload_ratio = serve.payload_ratio(),
         idle_conns = serve.idle_connections,
         threads_flat = serve.threads_flat.map_or("null".into(), |f| f.to_string()),
         restart_ms = restart.warmup_ms,
@@ -973,16 +919,9 @@ fn main() {
         serve.collapse_searches, 1,
         "single-flight must collapse concurrent duplicate requests to one search"
     );
-    // Deterministic serving properties, asserted in every mode: the binary
-    // payload packs to a quarter of the JSON bytes or better, the idle
+    // Deterministic serving properties, asserted in every mode: the idle
     // fleet never grew the thread count, and a restarted daemon answers its
     // first request from the replayed plan log with the pre-restart bytes.
-    assert!(
-        serve.binary_payload_bytes * 4 <= serve.json_payload_bytes,
-        "binary payload must be <= 1/4 of JSON: {} vs {} bytes",
-        serve.binary_payload_bytes,
-        serve.json_payload_bytes
-    );
     if let Some(flat) = serve.threads_flat {
         assert!(flat, "{} idle connections must not grow the thread count", serve.idle_connections);
     }

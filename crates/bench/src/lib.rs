@@ -1,9 +1,9 @@
 //! Shared helpers for the `pte` benchmark harness.
 //!
 //! Every figure and table of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see `DESIGN.md` §3 for the index) and
-//! prints the same rows/series the paper reports, alongside the paper's
-//! numbers for comparison. `EXPERIMENTS.md` records paper-vs-measured.
+//! `src/bin/` that regenerates it (the `fig*` binaries, `table1_primitives`,
+//! `search_time` and `size_analysis`) and prints the same rows/series the
+//! paper reports, alongside the paper's numbers for comparison.
 
 use std::fmt::Display;
 

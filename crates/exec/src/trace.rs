@@ -2,7 +2,8 @@
 //!
 //! Replays a nest's accesses in schedule order, emitting byte addresses. The
 //! `pte-machine` cache simulator consumes these traces to validate the
-//! analytical locality model on small nests (DESIGN.md ablation #3).
+//! analytical locality model on small nests (the `cachesim_vs_model` bench
+//! in `pte-bench`).
 
 use std::collections::BTreeMap;
 

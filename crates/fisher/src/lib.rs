@@ -21,7 +21,7 @@
 //! * [`proxy`] — per-layer proxy scoring for large networks: each convolution
 //!   variant is embedded in a small conv→BN→ReLU→pool→linear→cross-entropy
 //!   probe at reduced channel width/resolution (BlockSwap-style per-block
-//!   scoring at init; the substitution is documented in DESIGN.md). Scores
+//!   scoring at init, standing in for whole-network scoring). Scores
 //!   are memoised in a bounded process-wide cache (and, for incremental
 //!   callers, by layer signature in [`FisherScorer`]) — which is why the
 //!   paper's 1000-candidate search finishes in minutes. Evaluation waves

@@ -479,7 +479,7 @@ fn normal_pool(stream_seed: u64, n: usize) -> Vec<f32> {
 /// each output see a shrinking fraction of the input features, which in a
 /// full network compounds into reduced representational capacity even though
 /// batch-norm keeps every activation's scale identical. The factor below is
-/// the documented calibration for that blind spot (DESIGN.md): capacity
+/// the calibration for that blind spot: capacity
 /// decays gently with the group count (BlockSwap-style substitutions of
 /// `G = 2..4` remain near-lossless, as the paper's networks rely on) and
 /// sharply with input-channel slicing.

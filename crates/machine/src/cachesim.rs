@@ -2,7 +2,8 @@
 //!
 //! Used to validate the analytical locality model in [`crate::cost`]: on
 //! small nests, schedules the model ranks as more cache-friendly must also
-//! produce fewer simulated misses (DESIGN.md ablation #3).
+//! produce fewer simulated misses (the `cachesim_vs_model` bench in
+//! `pte-bench`).
 
 use crate::CacheLevel;
 use pte_exec::trace::MemoryEvent;

@@ -3,9 +3,8 @@
 //! The paper evaluates on four real devices: an Intel Core i7 (CPU), an
 //! Nvidia GTX 1080Ti (GPU), an ARM Cortex-A57 (mCPU) and the Jetson Nano's
 //! 128-core Maxwell (mGPU). Those devices are not available here, so this
-//! crate provides the documented substitution (DESIGN.md): calibrated
-//! **analytical performance models** plus a **set-associative cache
-//! simulator** for validating the locality analysis.
+//! crate substitutes calibrated **analytical performance models** plus a
+//! **set-associative cache simulator** for validating the locality analysis.
 //!
 //! * [`Platform`] — descriptor (cores, SIMD lanes, cache hierarchy, memory
 //!   bandwidth, GPU geometry) with presets for the paper's four devices.

@@ -1,4 +1,4 @@
-//! The trained-accuracy surrogate (documented substitution, DESIGN.md).
+//! The trained-accuracy surrogate (a documented substitution for training).
 //!
 //! The paper trains every evaluated network (200 epochs CIFAR-10 / 90 epochs
 //! ImageNet) to report final accuracy. Training is out of scope for this

@@ -15,7 +15,7 @@
 //!   Figure 2 / Figure 3: 4 nodes, 5 candidate operations per edge, 15,625
 //!   cells in total.
 //! * [`accuracy`] — the **documented surrogate** for trained accuracy
-//!   (DESIGN.md substitution table): deterministic, calibrated functions from
+//!   (rationale in the module docs): deterministic, calibrated functions from
 //!   architecture statistics to final test error. Fisher Potential itself is
 //!   *not* surrogate — `pte-fisher` computes it numerically.
 //!

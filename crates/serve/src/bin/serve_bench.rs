@@ -21,16 +21,14 @@
 //! quantiles — and the run ends with plan-cache and probe-memo health
 //! lines.
 //!
-//! `--codec json|binary` selects the wire format for every mode (the
-//! daemon auto-detects per connection; both codecs share one cache
-//! namespace). `--connections N` opens N idle keep-alive connections
-//! around the load phases and asserts the daemon's thread count stays flat
-//! — idle connections cost zero threads under the event loop.
+//! `--connections N` opens N idle keep-alive connections around the load
+//! phases and asserts the daemon's thread count stays flat — idle
+//! connections cost zero threads under the event loop. Each reading waits
+//! up to [`THREAD_SETTLE`](pte_serve::workload::THREAD_SETTLE) for threads
+//! that just finished to be reaped before comparing.
 //!
 //! CI legs: `--smoke` (duplicate request pair through one client, exactly
-//! one cache hit, bit-identical payloads, clean shutdown; under
-//! `--codec binary` it additionally asserts the packed payload is ≤ 1/4 of
-//! the canonical JSON bytes), `--overload` (a stalled compute pins the
+//! one cache hit, bit-identical payloads, clean shutdown), `--overload` (a stalled compute pins the
 //! single admission slot; a second cold search is shed with `overloaded`
 //! while cache hits keep serving), `--restart` (search, drain, restart
 //! on the same plan log, assert the first request is a warm-start cache
@@ -47,12 +45,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pte_serve::client::{Client, ClientCodec, ClientError};
+use pte_serve::client::{Client, ClientError};
 use pte_serve::codec;
-use pte_serve::codec_bin;
 use pte_serve::fault::{FaultAction, FaultPoint};
 use pte_serve::server::{serve, ServerConfig, ServerHandle};
-use pte_serve::workload::bench_request;
+use pte_serve::workload::{bench_request, settled_thread_count, thread_count};
 use pte_telemetry::Histogram;
 
 fn quick_mode() -> bool {
@@ -64,36 +61,21 @@ fn start_server(workers: usize) -> ServerHandle {
     serve(&config).expect("bind ephemeral port")
 }
 
-fn connect(addr: std::net::SocketAddr, codec: ClientCodec) -> Client {
-    Client::connect_with(addr, codec).expect("connect")
-}
-
-fn codec_name(codec: ClientCodec) -> &'static str {
-    match codec {
-        ClientCodec::Json => "json",
-        ClientCodec::Binary => "binary",
-    }
-}
-
-/// This process's thread count (`/proc/self/status`), or `None` off-Linux.
-/// The event-loop claim under test: connections are not threads.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|v| v.trim().parse().ok())
+fn connect(addr: std::net::SocketAddr) -> Client {
+    Client::connect(addr).expect("connect")
 }
 
 /// The CI smoke: daemon up, duplicate request pair, one cache hit,
-/// bit-identical payloads, graceful shutdown. Over the binary codec it
-/// also pins the payload packing ratio the codec was built for.
-fn smoke(codec: ClientCodec) {
+/// bit-identical payloads, graceful shutdown.
+fn smoke() {
     let handle = start_server(2);
     let addr = handle.addr();
-    println!("serve_bench --smoke: daemon on {addr} ({} codec)", codec_name(codec));
+    println!("serve_bench --smoke: daemon on {addr}");
 
     let request = bench_request(1);
     let expected = codec::execute(&request).expect("in-process search");
 
-    let mut client = connect(addr, codec);
+    let mut client = connect(addr);
     client.ping().expect("ping");
     let cold = client.search(&request).expect("cold search");
     let warm = client.search(&request).expect("warm search");
@@ -109,33 +91,13 @@ fn smoke(codec: ClientCodec) {
         "served payload diverged from the in-process search"
     );
 
-    if codec == ClientCodec::Binary {
-        let packed = codec_bin::encode_payload(&cold.payload).expect("pack payload");
-        assert!(
-            packed.len() * 4 <= expected.len(),
-            "binary payload must pack to <= 1/4 of canonical JSON: {} vs {} bytes",
-            packed.len(),
-            expected.len()
-        );
-        println!(
-            "serve_bench --smoke: binary payload {} bytes vs {} canonical JSON ({:.1}x smaller)",
-            packed.len(),
-            expected.len(),
-            expected.len() as f64 / packed.len() as f64
-        );
-    }
-
     let stats = client.stats().expect("stats");
     let cache = stats.get("cache").expect("cache stats");
     assert_eq!(cache.get("hits").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(cache.get("misses").and_then(|v| v.as_u64()), Some(1));
-    let counter = match codec {
-        ClientCodec::Json => "codec_json",
-        ClientCodec::Binary => "codec_binary",
-    };
     assert!(
-        stats.get(counter).and_then(|v| v.as_u64()).unwrap_or(0) >= 3,
-        "stats must count requests under the `{counter}` codec counter"
+        stats.get("requests").and_then(|v| v.as_u64()).unwrap_or(0) >= 3,
+        "stats must count every request"
     );
 
     // The daemon runs in-process, so its telemetry registry is ours: the
@@ -158,8 +120,8 @@ fn smoke(codec: ClientCodec) {
 /// bit-identical (tracing is observation-only), then scrape the `metrics`
 /// op and assert every required metric name is on the Prometheus page —
 /// a disappearing name fails the build before it breaks a dashboard.
-fn metrics_smoke(codec: ClientCodec) {
-    const REQUIRED: [&str; 22] = [
+fn metrics_smoke() {
+    const REQUIRED: [&str; 21] = [
         // event loop
         "pte_event_loop_wakeups_total",
         "pte_event_loop_poll_iterations_total",
@@ -169,7 +131,6 @@ fn metrics_smoke(codec: ClientCodec) {
         // request plane
         "pte_request_search_us",
         "pte_request_json_us",
-        "pte_request_binary_us",
         "pte_shed_total",
         "pte_deadline_total",
         "pte_panic_total",
@@ -191,10 +152,10 @@ fn metrics_smoke(codec: ClientCodec) {
 
     let handle = start_server(2);
     let addr = handle.addr();
-    println!("serve_bench --metrics: daemon on {addr} ({} codec)", codec_name(codec));
+    println!("serve_bench --metrics: daemon on {addr}");
 
     let request = bench_request(1);
-    let mut traced = connect(addr, codec);
+    let mut traced = connect(addr);
     traced.set_trace(true);
     let cold = traced.search(&request).expect("traced cold search");
     assert!(!cold.cache_hit, "traced request must run the search");
@@ -204,7 +165,7 @@ fn metrics_smoke(codec: ClientCodec) {
         "span tree must not be empty"
     );
 
-    let mut plain = connect(addr, codec);
+    let mut plain = connect(addr);
     let warm = plain.search(&request).expect("untraced duplicate");
     assert!(warm.cache_hit, "the traced search must have populated the cache");
     assert!(warm.trace.is_none(), "untraced requests must not carry a trace");
@@ -239,7 +200,7 @@ fn metrics_smoke(codec: ClientCodec) {
 /// stalled compute, a second cold search is shed with `overloaded` and the
 /// configured retry hint, while cache hits keep serving bit-identical
 /// payloads. The pinned search itself still completes once its stall ends.
-fn overload(codec: ClientCodec) {
+fn overload() {
     let stall = Arc::new(AtomicBool::new(false));
     let stalls_entered = Arc::new(AtomicU64::new(0));
     let hook = {
@@ -262,14 +223,11 @@ fn overload(codec: ClientCodec) {
     };
     let handle = serve(&config).expect("bind ephemeral port");
     let addr = handle.addr();
-    println!(
-        "serve_bench --overload: daemon on {addr}, max pending 1 ({} codec)",
-        codec_name(codec)
-    );
+    println!("serve_bench --overload: daemon on {addr}, max pending 1");
 
     // Warm one request into the cache while computes still run normally.
     let warm_request = bench_request(1);
-    let mut client = connect(addr, codec);
+    let mut client = connect(addr);
     let warm = client.search(&warm_request).expect("warm the cache");
     assert!(!warm.cache_hit, "warming request must miss");
 
@@ -278,7 +236,7 @@ fn overload(codec: ClientCodec) {
     // definitely held.
     stall.store(true, Ordering::SeqCst);
     let pinned = std::thread::spawn(move || {
-        let mut client = connect(addr, codec);
+        let mut client = connect(addr);
         client.search(&bench_request(2)).expect("pinned search completes")
     });
     while stalls_entered.load(Ordering::SeqCst) == 0 {
@@ -323,7 +281,7 @@ fn overload(codec: ClientCodec) {
 /// it, restart on the same plan log, and assert the very first request is
 /// a cache hit carrying bit-identical payload bytes — the persistence
 /// layer's acceptance contract.
-fn restart(codec: ClientCodec) {
+fn restart() {
     let store = std::env::temp_dir().join(format!("pte-serve-restart-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&store);
     let request = bench_request(1);
@@ -336,12 +294,8 @@ fn restart(codec: ClientCodec) {
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
-    println!(
-        "serve_bench --restart: incarnation 1 on {} ({} codec)",
-        first.addr(),
-        codec_name(codec)
-    );
-    let mut client = connect(first.addr(), codec);
+    println!("serve_bench --restart: incarnation 1 on {}", first.addr());
+    let mut client = connect(first.addr());
     let cold = client.search(&request).expect("cold search");
     assert!(!cold.cache_hit, "incarnation 1 starts cold");
     assert_eq!(cold.payload_canonical, expected);
@@ -359,7 +313,7 @@ fn restart(codec: ClientCodec) {
     })
     .expect("rebind");
     assert_eq!(second.state().store_loaded(), 1, "boot must replay the logged plan");
-    let mut client = connect(second.addr(), codec);
+    let mut client = connect(second.addr());
     let warm = client.search(&request).expect("warm-start search");
     let warmup_ms = reboot.elapsed().as_secs_f64() * 1e3;
     assert!(warm.cache_hit, "first request after restart must be a warm-start hit");
@@ -385,7 +339,7 @@ fn restart(codec: ClientCodec) {
 /// breaker's bounded ejection time and the router conservation law
 /// (`routed == forwarded + failovers + shed`) intact, asserted both
 /// in-process and over the router's own `stats` op.
-fn router_smoke(codec: ClientCodec) {
+fn router_smoke() {
     use pte_serve::json::fnv1a64;
     use pte_serve::retry::{RetryClient, RetryPolicy};
     use pte_serve::router::{route, HashRing, RouterConfig, ShardState};
@@ -410,11 +364,7 @@ fn router_smoke(codec: ClientCodec) {
         ..RouterConfig::default()
     })
     .expect("bind router port");
-    println!(
-        "serve_bench --router: {SHARDS} daemons behind pte-route on {} ({} codec)",
-        router.addr(),
-        codec_name(codec)
-    );
+    println!("serve_bench --router: {SHARDS} daemons behind pte-route on {}", router.addr());
 
     let expected: Vec<String> = (0..distinct)
         .map(|i| codec::execute(&bench_request(i as u64)).expect("in-process search"))
@@ -427,10 +377,7 @@ fn router_smoke(codec: ClientCodec) {
         jitter_seed: 0xB0075,
         ..RetryPolicy::default()
     };
-    let mut client = match codec {
-        ClientCodec::Json => RetryClient::tcp(router.addr(), policy),
-        ClientCodec::Binary => RetryClient::tcp_binary(router.addr(), policy),
-    };
+    let mut client = RetryClient::tcp(router.addr(), policy);
 
     // Cold pass: every key misses on its primary shard; warm pass: every
     // key hits, because the ring pins a key to one shard's cache.
@@ -536,7 +483,7 @@ fn merge_latencies(name: &str, parts: Vec<Histogram>, requests: usize) -> Histog
     merged
 }
 
-fn load(codec: ClientCodec, idle_connections: usize) {
+fn load(idle_connections: usize) {
     let quick = quick_mode();
     let clients = if quick { 2 } else { 4 };
     let distinct = if quick { 2 } else { 6 };
@@ -545,23 +492,23 @@ fn load(codec: ClientCodec, idle_connections: usize) {
     let handle = start_server(clients);
     let addr = handle.addr();
     println!(
-        "serve_bench: daemon on {addr}, {clients} clients ({} codec, {idle_connections} idle \
-         keep-alive connections)",
-        codec_name(codec)
+        "serve_bench: daemon on {addr}, {clients} clients ({idle_connections} idle keep-alive \
+         connections)"
     );
 
     // The event-loop claim, measured: park a fleet of idle keep-alive
     // connections for the whole run. They must not cost threads, and they
-    // must still be alive (same codec, zero re-handshakes) at the end.
+    // must still be alive (zero re-handshakes) at the end.
     let threads_before = thread_count();
     let mut parked: Vec<Client> = (0..idle_connections)
         .map(|_| {
-            let mut c = connect(addr, codec);
+            let mut c = connect(addr);
             c.ping().expect("parked connection ping");
             c
         })
         .collect();
-    if let (Some(before), Some(after)) = (threads_before, thread_count()) {
+    if let Some((before, after)) = threads_before.zip(threads_before.and_then(settled_thread_count))
+    {
         assert_eq!(
             before, after,
             "{idle_connections} idle connections must cost zero threads (event loop), \
@@ -591,7 +538,7 @@ fn load(codec: ClientCodec, idle_connections: usize) {
                 let next = &next;
                 let expected = &expected;
                 scope.spawn(move || {
-                    let mut client = connect(addr, codec);
+                    let mut client = connect(addr);
                     let lat = Histogram::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);
@@ -625,7 +572,7 @@ fn load(codec: ClientCodec, idle_connections: usize) {
             .map(|c| {
                 let expected = &expected;
                 scope.spawn(move || {
-                    let mut client = connect(addr, codec);
+                    let mut client = connect(addr);
                     let lat = Histogram::new();
                     for round in 0..warm_rounds {
                         let i = (round + c) % distinct;
@@ -661,7 +608,7 @@ fn load(codec: ClientCodec, idle_connections: usize) {
             let collapse_request = &collapse_request;
             let collapse_expected = &collapse_expected;
             scope.spawn(move || {
-                let mut client = connect(addr, codec);
+                let mut client = connect(addr);
                 let reply = client.search(collapse_request).expect("collapse search");
                 assert_eq!(&reply.payload_canonical, collapse_expected);
             });
@@ -671,7 +618,8 @@ fn load(codec: ClientCodec, idle_connections: usize) {
 
     // The parked fleet survived all three phases without a thread and
     // without a reconnect.
-    if let (Some(before), Some(after)) = (threads_before, thread_count()) {
+    if let Some((before, after)) = threads_before.zip(threads_before.and_then(settled_thread_count))
+    {
         assert_eq!(before, after, "thread count must stay flat through the load phases");
     }
     for parked_client in parked.iter_mut() {
@@ -679,10 +627,7 @@ fn load(codec: ClientCodec, idle_connections: usize) {
     }
 
     let stats = handle.state().cache_stats();
-    println!(
-        "\n-- serve_bench (closed-loop, {clients} clients over TCP, {} codec)",
-        codec_name(codec)
-    );
+    println!("\n-- serve_bench (closed-loop, {clients} clients over TCP)");
     for phase in [&cold, &warm] {
         println!(
             "{:<8} {:>5} requests in {:>7.2} s  ({:>8.1} req/s)  p50 {:>8.3} ms  \
@@ -728,22 +673,11 @@ fn load(codec: ClientCodec, idle_connections: usize) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut codec = ClientCodec::Json;
     let mut connections: usize = 0;
     let mut iter = args.iter().skip(1);
     let mut mode: Option<&str> = None;
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--codec" => {
-                codec = match iter.next().map(String::as_str) {
-                    Some("json") => ClientCodec::Json,
-                    Some("binary") => ClientCodec::Binary,
-                    other => {
-                        eprintln!("serve_bench: --codec json|binary (got {other:?})");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--connections" => {
                 connections = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("serve_bench: --connections N");
@@ -764,16 +698,16 @@ fn main() {
         }
     }
     match mode {
-        Some("--smoke") => smoke(codec),
-        Some("--overload") => overload(codec),
-        Some("--restart") => restart(codec),
-        Some("--metrics") => metrics_smoke(codec),
-        Some("--router") => router_smoke(codec),
+        Some("--smoke") => smoke(),
+        Some("--overload") => overload(),
+        Some("--restart") => restart(),
+        Some("--metrics") => metrics_smoke(),
+        Some("--router") => router_smoke(),
         _ => {
             if connections == 0 {
                 connections = if quick_mode() { 32 } else { 256 };
             }
-            load(codec, connections);
+            load(connections);
         }
     }
 }

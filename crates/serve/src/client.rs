@@ -1,21 +1,17 @@
-//! Client library for both wire protocols: line-delimited JSON and the
-//! length-prefixed binary frames of [`codec_bin`].
+//! Client library for the line-delimited JSON wire protocol.
 //!
-//! A [`Client`] owns one persistent connection and speaks one codec for its
-//! lifetime (the server detects which from the first byte); requests are
-//! synchronous (one message out, one back). Whatever the wire format, the
-//! canonical payload bytes of a search reply are recovered by re-encoding
-//! the decoded payload — the codecs' byte-stability contracts make that
-//! identical to the bytes the server holds in its cache, and the e2e suite
-//! asserts it across both codecs.
+//! A [`Client`] owns one persistent connection; requests are synchronous
+//! (one line out, one line back). The canonical payload bytes of a search
+//! reply are recovered by re-writing the parsed payload subtree — the
+//! canonical writer's byte-stability contract makes that identical to the
+//! bytes the server holds in its cache, and the e2e suite asserts it.
 //!
 //! Transport errors are strictly separated from protocol errors: a
 //! connection dropped *between the bytes of a reply* surfaces as
-//! [`ClientError::Io`] (never a parse error on a truncated message), and
-//! explicit server rejections — `{"ok":false}` lines, `REPLY_ERROR` frames
-//! — carry the server's `retryable` verdict as [`ClientError::Server`];
-//! the two signals [`RetryClient`](crate::retry) heals from, identically
-//! for either codec.
+//! [`ClientError::Io`] (never a parse error on a truncated line), and
+//! explicit server rejections — `{"ok":false}` lines — carry the server's
+//! `retryable` verdict as [`ClientError::Server`]; the two signals
+//! [`RetryClient`](crate::retry) heals from.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -23,9 +19,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::codec::{CodecError, PlanPayload, SearchRequest};
-use crate::codec_bin::{self, kind, FrameReadError};
 use crate::fault::FaultyStream;
-use crate::json::{fnv1a64, Json};
+use crate::json::Json;
 
 /// The transport a [`Client`] runs over: any bidirectional byte stream with
 /// a settable read timeout. Production uses [`TcpStream`]; the chaos suite
@@ -139,17 +134,6 @@ pub struct SearchReply {
     pub trace: Option<Json>,
 }
 
-/// Which wire format a [`Client`] speaks. The server auto-detects from the
-/// connection's first byte, so no negotiation round trip exists — a codec
-/// is simply chosen at construction and is sticky.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientCodec {
-    /// Line-delimited JSON documents.
-    Json,
-    /// Length-prefixed binary frames ([`codec_bin`]).
-    Binary,
-}
-
 /// A synchronous connection to a `pte-serve` daemon.
 pub struct Client {
     /// Single stream object: reads are buffered, writes go straight to
@@ -157,8 +141,6 @@ pub struct Client {
     /// message; the strict write-then-read protocol never interleaves the
     /// two).
     conn: BufReader<Box<dyn Conn>>,
-    /// The wire format this connection speaks.
-    codec: ClientCodec,
     /// Optional op-level deadline attached to every search request.
     deadline_ms: Option<u64>,
     /// Whether to request a span-tree trace with every search request.
@@ -166,46 +148,20 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon, speaking JSON lines.
+    /// Connects to a daemon.
     ///
     /// # Errors
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Self> {
-        Self::connect_with(addr, ClientCodec::Json)
-    }
-
-    /// Connects to a daemon, speaking binary frames.
-    ///
-    /// # Errors
-    /// Propagates connection failures.
-    pub fn connect_binary(addr: impl ToSocketAddrs) -> ClientResult<Self> {
-        Self::connect_with(addr, ClientCodec::Binary)
-    }
-
-    /// Connects to a daemon with an explicit codec.
-    ///
-    /// # Errors
-    /// Propagates connection failures.
-    pub fn connect_with(addr: impl ToSocketAddrs, codec: ClientCodec) -> ClientResult<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self::from_conn_with(Box::new(stream), codec))
+        Ok(Self::from_conn(Box::new(stream)))
     }
 
     /// Wraps an already-established transport (how the chaos suite mounts a
-    /// [`FaultyStream`]), speaking JSON lines.
+    /// [`FaultyStream`]).
     pub fn from_conn(conn: Box<dyn Conn>) -> Self {
-        Self::from_conn_with(conn, ClientCodec::Json)
-    }
-
-    /// Wraps an already-established transport with an explicit codec.
-    pub fn from_conn_with(conn: Box<dyn Conn>, codec: ClientCodec) -> Self {
-        Client { conn: BufReader::new(conn), codec, deadline_ms: None, trace: false }
-    }
-
-    /// The wire format this connection speaks.
-    pub fn codec(&self) -> ClientCodec {
-        self.codec
+        Client { conn: BufReader::new(conn), deadline_ms: None, trace: false }
     }
 
     /// Sets the per-reply read timeout (searches can be slow; default none).
@@ -266,98 +222,6 @@ impl Client {
         Ok(text.trim_end().to_string())
     }
 
-    /// Sends one frame and reads one reply frame, surfacing `REPLY_ERROR`
-    /// frames as [`ClientError::Server`] — the binary analogue of
-    /// [`Client::op`]'s `{"ok":false}` handling.
-    ///
-    /// EOF semantics mirror [`Client::round_trip`]: a clean close before
-    /// any reply byte is `Io(ConnectionAborted)`, a close **mid-frame** is
-    /// `Io(UnexpectedEof)` — truncated bytes are never handed to the body
-    /// decoders.
-    fn frame_op(&mut self, frame_kind: u8, body: &[u8]) -> ClientResult<(u8, Vec<u8>)> {
-        codec_bin::write_frame(self.conn.get_mut(), frame_kind, body)?;
-        match codec_bin::read_frame(&mut self.conn) {
-            Ok((kind::REPLY_ERROR, reply)) => {
-                let error = codec_bin::decode_error(&reply)?;
-                Err(ClientError::Server {
-                    error: error.message,
-                    retryable: error.retryable,
-                    retry_after_ms: error.retry_after_ms,
-                })
-            }
-            Ok(reply) => Ok(reply),
-            Err(FrameReadError::Closed) => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                "server closed the connection",
-            ))),
-            Err(FrameReadError::Io(e)) => Err(ClientError::Io(e)),
-            Err(FrameReadError::Malformed(message)) => Err(ClientError::Protocol(message)),
-        }
-    }
-
-    /// Expects a `REPLY_OK` echoing the request kind (ping/shutdown acks).
-    fn frame_ack(&mut self, frame_kind: u8) -> ClientResult<()> {
-        let (reply_kind, body) = self.frame_op(frame_kind, &[])?;
-        if reply_kind != kind::REPLY_OK || body != [frame_kind] {
-            return Err(ClientError::Protocol(format!(
-                "expected ack for kind 0x{frame_kind:02X}, got kind 0x{reply_kind:02X}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Runs a search over binary frames.
-    fn search_binary(&mut self, request: &SearchRequest) -> ClientResult<SearchReply> {
-        let body = codec_bin::encode_search_request(request, self.deadline_ms, self.trace);
-        let (reply_kind, reply) = self.frame_op(kind::SEARCH, &body)?;
-        if reply_kind != kind::REPLY_SEARCH {
-            return Err(ClientError::Protocol(format!(
-                "expected search reply, got kind 0x{reply_kind:02X}"
-            )));
-        }
-        let decoded = codec_bin::decode_search_reply(&reply)?;
-        // Integrity check: the reply's key must be the content hash of the
-        // request we actually sent (same check as the JSON path, on the
-        // raw u64 the hex key renders).
-        let canonical = request.encode().map_err(|e| ClientError::Protocol(e.message))?;
-        let expected = fnv1a64(canonical.as_bytes());
-        if decoded.key != expected {
-            return Err(ClientError::Protocol(format!(
-                "request key mismatch: canonical bytes hash to {expected:016x}, reply claims {:016x}",
-                decoded.key
-            )));
-        }
-        let payload_canonical =
-            decoded.payload.encode().map_err(|e| ClientError::Protocol(e.message))?;
-        let trace = match decoded.trace_json {
-            None => None,
-            Some(text) => Some(Json::parse(&text)?),
-        };
-        Ok(SearchReply {
-            request_key: format!("{:016x}", decoded.key),
-            cache_hit: decoded.hit,
-            coalesced: decoded.coalesced,
-            elapsed_ms: decoded.elapsed_ms,
-            payload: decoded.payload,
-            payload_canonical,
-            trace,
-        })
-    }
-
-    /// Reads the stats document over binary frames: the reply body is the
-    /// same canonical JSON stats text the JSON codec serves.
-    fn stats_binary(&mut self) -> ClientResult<Json> {
-        let (reply_kind, body) = self.frame_op(kind::STATS, &[])?;
-        if reply_kind != kind::REPLY_STATS {
-            return Err(ClientError::Protocol(format!(
-                "expected stats reply, got kind 0x{reply_kind:02X}"
-            )));
-        }
-        let text = std::str::from_utf8(&body)
-            .map_err(|_| ClientError::Protocol("stats reply is not valid UTF-8".into()))?;
-        Ok(Json::parse(text)?)
-    }
-
     /// Sends one op document and decodes the reply envelope, surfacing
     /// `{"ok":false}` replies as [`ClientError::Server`].
     fn op(&mut self, doc: &Json) -> ClientResult<Json> {
@@ -379,19 +243,11 @@ impl Client {
         }
     }
 
-    /// Runs a search over whichever codec this connection speaks.
+    /// Runs a search.
     ///
     /// # Errors
     /// Transport failures or a server-side rejection.
     pub fn search(&mut self, request: &SearchRequest) -> ClientResult<SearchReply> {
-        match self.codec {
-            ClientCodec::Json => self.search_json(request),
-            ClientCodec::Binary => self.search_binary(request),
-        }
-    }
-
-    /// Runs a search over the JSON line protocol.
-    fn search_json(&mut self, request: &SearchRequest) -> ClientResult<SearchReply> {
         let mut fields = vec![("op", Json::Str("search".into())), ("request", request.to_json())];
         if let Some(deadline_ms) = self.deadline_ms {
             // Op-level, deliberately outside the `request` subtree: the
@@ -434,10 +290,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn stats(&mut self) -> ClientResult<Json> {
-        match self.codec {
-            ClientCodec::Json => self.op(&Json::obj(vec![("op", Json::Str("stats".into()))])),
-            ClientCodec::Binary => self.stats_binary(),
-        }
+        self.op(&Json::obj(vec![("op", Json::Str("stats".into()))]))
     }
 
     /// Reads the server's metrics document: the stats fields plus a
@@ -446,21 +299,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn metrics(&mut self) -> ClientResult<Json> {
-        match self.codec {
-            ClientCodec::Json => self.op(&Json::obj(vec![("op", Json::Str("metrics".into()))])),
-            ClientCodec::Binary => {
-                let (reply_kind, body) = self.frame_op(kind::METRICS, &[])?;
-                if reply_kind != kind::REPLY_METRICS {
-                    return Err(ClientError::Protocol(format!(
-                        "expected metrics reply, got kind 0x{reply_kind:02X}"
-                    )));
-                }
-                let text = std::str::from_utf8(&body).map_err(|_| {
-                    ClientError::Protocol("metrics reply is not valid UTF-8".into())
-                })?;
-                Ok(Json::parse(text)?)
-            }
-        }
+        self.op(&Json::obj(vec![("op", Json::Str("metrics".into()))]))
     }
 
     /// Liveness check.
@@ -468,12 +307,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn ping(&mut self) -> ClientResult<()> {
-        match self.codec {
-            ClientCodec::Json => {
-                self.op(&Json::obj(vec![("op", Json::Str("ping".into()))])).map(|_| ())
-            }
-            ClientCodec::Binary => self.frame_ack(kind::PING),
-        }
+        self.op(&Json::obj(vec![("op", Json::Str("ping".into()))])).map(|_| ())
     }
 
     /// Asks the daemon to shut down.
@@ -481,11 +315,6 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn shutdown(&mut self) -> ClientResult<()> {
-        match self.codec {
-            ClientCodec::Json => {
-                self.op(&Json::obj(vec![("op", Json::Str("shutdown".into()))])).map(|_| ())
-            }
-            ClientCodec::Binary => self.frame_ack(kind::SHUTDOWN),
-        }
+        self.op(&Json::obj(vec![("op", Json::Str("shutdown".into()))])).map(|_| ())
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * **Wire faults** ([`FaultyStream`]): a `Read + Write` wrapper over a
 //!   `TcpStream` that consumes a [`FaultScript`] — torn writes, split
-//!   (partial-line) writes, truncated reads, stalled reads, and mid-frame
+//!   (partial-line) writes, truncated reads, stalled reads, and mid-line
 //!   disconnects. The script is shared (`Arc`) across a client's
 //!   reconnections and is *finite*: once drained the stream is clean, so a
 //!   retrying client always converges.
@@ -68,7 +68,7 @@ impl SplitMix64 {
 pub enum WireFault {
     /// Send only the first `keep` bytes of the next write, sever the
     /// connection, and fail with `BrokenPipe`. The peer sees a partial
-    /// frame then EOF.
+    /// line then EOF.
     TornWrite {
         /// Bytes actually delivered before the cut.
         keep: usize,
@@ -82,7 +82,7 @@ pub enum WireFault {
         pause_ms: u64,
     },
     /// Deliver at most `keep` bytes of the next read, then sever: the read
-    /// after it fails with `ConnectionReset` (a reply torn mid-frame).
+    /// after it fails with `ConnectionReset` (a reply torn mid-line).
     TruncatedRead {
         /// Bytes delivered before the cut.
         keep: usize,

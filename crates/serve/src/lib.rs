@@ -45,7 +45,6 @@
 pub mod cache;
 pub mod client;
 pub mod codec;
-pub mod codec_bin;
 pub mod fault;
 pub mod json;
 pub mod retry;
@@ -55,7 +54,7 @@ pub mod store;
 pub mod workload;
 
 pub use cache::{CacheStats, LeaderFailure, PlanCache};
-pub use client::{Client, ClientCodec, ClientError, Conn, SearchReply};
+pub use client::{Client, ClientError, Conn, SearchReply};
 pub use codec::{
     CodecError, ErrorClass, NetworkSpec, PlanPayload, PlatformId, SearchRequest, Strategy,
 };

@@ -1,9 +1,8 @@
 //! `pte-serve` — the search-as-a-service daemon.
 //!
-//! Binds a TCP port, serves search requests — line-delimited JSON or
-//! length-prefixed binary frames, auto-detected per connection — through
+//! Binds a TCP port, serves line-delimited JSON search requests through
 //! the sharded single-flight plan cache, and runs until killed or asked to
-//! shut down over either codec.
+//! shut down with a `shutdown` op.
 //!
 //! ```text
 //! pte-serve [--addr 127.0.0.1:7464] [--workers 4] [--cache-cap 256]

@@ -100,16 +100,9 @@ impl RetryClient {
         RetryClient { connector, policy, rng, client: None, deadline_ms: None, retries: 0 }
     }
 
-    /// Convenience: retry client over plain TCP to `addr` (JSON lines).
+    /// Convenience: retry client over plain TCP to `addr`.
     pub fn tcp(addr: std::net::SocketAddr, policy: RetryPolicy) -> Self {
         Self::new(Box::new(move || Client::connect(addr)), policy)
-    }
-
-    /// Convenience: retry client over plain TCP to `addr`, speaking binary
-    /// frames. Heals identically to the JSON variant — retryability is
-    /// carried by [`ClientError`], not the wire format.
-    pub fn tcp_binary(addr: std::net::SocketAddr, policy: RetryPolicy) -> Self {
-        Self::new(Box::new(move || Client::connect_binary(addr)), policy)
     }
 
     /// Retryable failures that were actually retried so far.

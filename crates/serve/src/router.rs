@@ -5,8 +5,8 @@
 //! that has to die before a plan is lost. Three cooperating pieces:
 //!
 //! * **Consistent-hash ring** ([`HashRing`]): request keys — the same
-//!   codec-independent FNV-1a content hashes the daemons cache under — map
-//!   to shards through virtual nodes hashed from stable shard identities.
+//!   FNV-1a hashes of canonical request bytes the daemons cache under —
+//!   map to shards through virtual nodes hashed from stable shard identities.
 //!   Routing therefore survives router restarts bit-identically, ignores
 //!   shard registration order, and a node join/leave moves only ~K/N keys
 //!   (pinned by proptests in `tests/router_ring.rs`). The router decodes
@@ -26,9 +26,10 @@
 //!   first-response-wins. The walk honours the request's `deadline_ms` as
 //!   a wall-clock failover budget, mirroring `RetryPolicy::budget`.
 //!
-//! The router speaks both wire codecs (auto-detected per connection from
-//! the first byte, exactly like the daemons), answers `ping` / `stats` /
-//! `metrics` / `shutdown` itself, and forwards `search` bytes verbatim.
+//! The router speaks the daemons' line-delimited JSON, answers `ping` /
+//! `stats` / `metrics` / `shutdown` itself, and forwards `search` lines
+//! verbatim. A malformed line (invalid UTF-8 or JSON, unknown op) gets an
+//! `{"ok":false,...}` line and the connection stays up.
 //! Its `stats` op exposes the router conservation law, asserted by the
 //! fleet chaos suite: **`routed == forwarded + failovers + shed`** — every
 //! routed search terminates as exactly one of "served by its primary",
@@ -43,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use pte_telemetry::{Counter, Gauge, Histogram};
 
-use crate::codec_bin::{self, kind, FRAME_MAGIC};
 use crate::json::{fnv1a64, Json};
 use crate::server::render_stats_prometheus;
 
@@ -580,7 +580,7 @@ fn probe_sweep(state: &Arc<RouterState>) {
     }
 }
 
-/// A single bounded ping over the JSON codec (one line out, one line back).
+/// A single bounded ping (one line out, one line back).
 fn ping_shard(addr: &str, timeout: Duration) -> bool {
     let Ok(mut stream) = TcpStream::connect(addr) else { return false };
     if stream.set_nodelay(true).is_err()
@@ -613,15 +613,8 @@ fn ping_shard(addr: &str, timeout: Duration) -> bool {
 // Client handling
 // ---------------------------------------------------------------------------
 
-/// One parsed client message, codec-independent.
-enum ClientMsg {
-    Json(String),
-    Frame(u8, Vec<u8>),
-}
-
-/// Per-connection handler: detects the codec from the first byte (same
-/// contract as the daemons), extracts one message at a time, answers
-/// control ops locally, and forwards searches through the ring.
+/// Per-connection handler: extracts one line at a time, answers control
+/// ops locally, and forwards searches through the ring.
 fn handle_client(stream: TcpStream, state: &Arc<RouterState>, poll: Duration) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(poll));
@@ -639,17 +632,11 @@ fn client_loop(
 ) -> io::Result<()> {
     const MAX_BUFFER: usize = 1 << 20;
     let mut buf: Vec<u8> = Vec::new();
-    let mut binary: Option<bool> = None;
     let mut chunk = [0u8; 64 * 1024];
     loop {
-        // Drain every complete message already buffered.
-        while let Some(msg) = extract_message(&mut buf, &mut binary)? {
-            let reply = match msg {
-                ClientMsg::Json(line) => handle_json(&line, state, backends),
-                ClientMsg::Frame(frame_kind, body) => {
-                    handle_binary(frame_kind, &body, state, backends)
-                }
-            };
+        // Drain every complete line already buffered.
+        while let Some(line) = extract_line(&mut buf) {
+            let reply = handle_line(&line, state, backends);
             stream.write_all(&reply)?;
         }
         if buf.len() > MAX_BUFFER {
@@ -670,36 +657,10 @@ fn client_loop(
     }
 }
 
-/// Pulls one complete message off the front of `buf`, detecting the codec
-/// from the connection's first byte on first use.
-fn extract_message(buf: &mut Vec<u8>, binary: &mut Option<bool>) -> io::Result<Option<ClientMsg>> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    let is_binary = *binary.get_or_insert(buf[0] == FRAME_MAGIC);
-    if is_binary {
-        match codec_bin::try_extract_frame(buf) {
-            Ok(Some((frame_kind, body, used))) => {
-                buf.drain(..used);
-                Ok(Some(ClientMsg::Frame(frame_kind, body)))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.message)),
-        }
-    } else {
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let line: Vec<u8> = buf.drain(..=pos).collect();
-                let text = std::str::from_utf8(&line[..line.len() - 1])
-                    .map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "request is not valid UTF-8")
-                    })?
-                    .to_string();
-                Ok(Some(ClientMsg::Json(text)))
-            }
-            None => Ok(None),
-        }
-    }
+/// Pulls one complete line (newline included) off the front of `buf`.
+fn extract_line(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
+    let pos = buf.iter().position(|&b| b == b'\n')?;
+    Some(buf.drain(..=pos).collect())
 }
 
 /// A pooled backend connection (sticky per handler thread, lazily opened,
@@ -717,20 +678,14 @@ impl Backend {
         Ok(Backend { stream, buf: Vec::new() })
     }
 
-    /// One strict request/reply round trip: write the raw message bytes,
-    /// read exactly one reply message (a JSON line or a binary frame,
-    /// matching the bytes we forwarded), and return the reply verbatim.
-    fn round_trip(
-        &mut self,
-        raw: &[u8],
-        is_binary: bool,
-        timeout: Option<Duration>,
-    ) -> io::Result<Vec<u8>> {
+    /// One strict request/reply round trip: write the raw line, read
+    /// exactly one reply line, and return it verbatim.
+    fn round_trip(&mut self, raw: &[u8], timeout: Option<Duration>) -> io::Result<Vec<u8>> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.write_all(raw)?;
         let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some(reply) = extract_reply(&mut self.buf, is_binary)? {
+            if let Some(reply) = extract_line(&mut self.buf) {
                 return Ok(reply);
             }
             match self.stream.read(&mut chunk) {
@@ -743,29 +698,6 @@ impl Backend {
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) => return Err(e),
             }
-        }
-    }
-}
-
-/// Pulls one complete reply message (raw bytes, newline/frame included)
-/// off a backend reassembly buffer.
-fn extract_reply(buf: &mut Vec<u8>, is_binary: bool) -> io::Result<Option<Vec<u8>>> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    if is_binary {
-        match codec_bin::try_extract_frame(buf) {
-            Ok(Some((frame_kind, body, used))) => {
-                buf.drain(..used);
-                Ok(Some(codec_bin::frame_bytes(frame_kind, &body)))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.message)),
-        }
-    } else {
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => Ok(Some(buf.drain(..=pos).collect())),
-            None => Ok(None),
         }
     }
 }
@@ -783,7 +715,7 @@ enum Shed {
     Deadline,
 }
 
-/// Forwards one search's raw bytes through the ring with failover and
+/// Forwards one search's raw line through the ring with failover and
 /// optional hedging, returning the raw reply bytes to relay verbatim.
 ///
 /// Accounting contract (the conservation law): the caller has already
@@ -794,7 +726,6 @@ fn forward_search(
     backends: &mut HashMap<usize, Backend>,
     key: u64,
     raw: &[u8],
-    is_binary: bool,
     deadline_ms: Option<u64>,
 ) -> Result<Vec<u8>, Shed> {
     let started = Instant::now();
@@ -815,9 +746,7 @@ fn forward_search(
 
     // Hedged path: race the first two candidates, first response wins.
     if let (Some(hedge_after), true) = (state.hedge_after, order.len() >= 2) {
-        if let Some(result) =
-            forward_hedged(state, &candidates, &order, raw, is_binary, hedge_after, budget)
-        {
+        if let Some(result) = forward_hedged(state, &candidates, &order, raw, hedge_after, budget) {
             return result;
         }
         // Both hedge attempts failed; fall through to walk the remainder.
@@ -831,7 +760,7 @@ fn forward_search(
             SHED_TOTAL.inc();
             return Err(Shed::Deadline);
         }
-        match forward_once(state, backends, shard, raw, is_binary) {
+        match forward_once(state, backends, shard, raw) {
             Ok(reply) => {
                 settle(state, &candidates, shard, started);
                 return Ok(reply);
@@ -873,7 +802,6 @@ fn forward_once(
     backends: &mut HashMap<usize, Backend>,
     shard: usize,
     raw: &[u8],
-    is_binary: bool,
 ) -> io::Result<Vec<u8>> {
     let addr = state.slots[shard].addr.clone();
     let pooled = backends.contains_key(&shard);
@@ -881,7 +809,7 @@ fn forward_once(
         backends.insert(shard, Backend::connect(&addr)?);
     }
     let backend = backends.get_mut(&shard).expect("just inserted");
-    match backend.round_trip(raw, is_binary, None) {
+    match backend.round_trip(raw, None) {
         Ok(reply) => Ok(reply),
         Err(e) => {
             backends.remove(&shard);
@@ -890,7 +818,7 @@ fn forward_once(
             }
             // The pooled connection was stale; one fresh attempt.
             let mut fresh = Backend::connect(&addr)?;
-            let reply = fresh.round_trip(raw, is_binary, None)?;
+            let reply = fresh.round_trip(raw, None)?;
             backends.insert(shard, fresh);
             Ok(reply)
         }
@@ -904,13 +832,11 @@ fn forward_once(
 ///
 /// Returns `None` when both racers failed at the transport level (caller
 /// falls back to the sequential walk over the remaining candidates).
-#[allow(clippy::too_many_arguments)]
 fn forward_hedged(
     state: &Arc<RouterState>,
     candidates: &[usize],
     order: &[usize],
     raw: &[u8],
-    is_binary: bool,
     hedge_after: Duration,
     budget: Option<Duration>,
 ) -> Option<Result<Vec<u8>, Shed>> {
@@ -925,7 +851,7 @@ fn forward_hedged(
             let cap = budget.unwrap_or(Duration::from_secs(120));
             std::thread::spawn(move || {
                 let result = Backend::connect(&addr)
-                    .and_then(|mut backend| backend.round_trip(&raw, is_binary, Some(cap)));
+                    .and_then(|mut backend| backend.round_trip(&raw, Some(cap)));
                 let _ = tx.send((shard, result));
             });
         };
@@ -983,15 +909,19 @@ fn remaining(started: Instant, budget: Option<Duration>) -> Duration {
 // Op dispatch
 // ---------------------------------------------------------------------------
 
-/// Dispatches one JSON line: control ops answered locally, searches
-/// forwarded. Returns the raw reply bytes (newline included).
-fn handle_json(
-    line: &str,
+/// Dispatches one raw line (newline included): control ops answered
+/// locally, searches forwarded verbatim. Returns the raw reply bytes
+/// (newline included).
+fn handle_line(
+    raw: &[u8],
     state: &Arc<RouterState>,
     backends: &mut HashMap<usize, Backend>,
 ) -> Vec<u8> {
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let doc = match Json::parse(line) {
+    let Ok(line) = std::str::from_utf8(raw) else {
+        return error_line("request line is not valid UTF-8", false, None);
+    };
+    let doc = match Json::parse(line.trim()) {
         Ok(doc) => doc,
         Err(e) => return error_line(&e.message, false, None),
     };
@@ -1000,17 +930,14 @@ fn handle_json(
             let Some(request_doc) = doc.get("request") else {
                 return error_line("search needs a `request` field", false, None);
             };
-            let key = match search_key_json(request_doc) {
+            let key = match search_key(request_doc) {
                 Ok(key) => key,
                 Err(message) => return error_line(&message, false, None),
             };
             let deadline_ms = doc.get("deadline_ms").and_then(Json::as_u64);
             state.routed.fetch_add(1, Ordering::Relaxed);
             ROUTED_TOTAL.inc();
-            let mut raw = Vec::with_capacity(line.len() + 1);
-            raw.extend_from_slice(line.as_bytes());
-            raw.push(b'\n');
-            match forward_search(state, backends, key, &raw, false, deadline_ms) {
+            match forward_search(state, backends, key, raw, deadline_ms) {
                 Ok(reply) => reply,
                 Err(shed) => shed_line(shed),
             }
@@ -1027,75 +954,21 @@ fn handle_json(
     }
 }
 
-/// Dispatches one binary frame; op coverage mirrors [`handle_json`].
-fn handle_binary(
-    frame_kind: u8,
-    body: &[u8],
-    state: &Arc<RouterState>,
-    backends: &mut HashMap<usize, Backend>,
-) -> Vec<u8> {
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    match frame_kind {
-        kind::SEARCH => {
-            let (key, deadline_ms) = match codec_bin::decode_search_request(body) {
-                Ok((request, deadline_ms, _trace)) => match request.encode() {
-                    Ok(canonical) => (fnv1a64(canonical.as_bytes()), deadline_ms),
-                    Err(e) => return error_frame(&e.message, false, None),
-                },
-                Err(e) => return error_frame(&e.message, false, None),
-            };
-            state.routed.fetch_add(1, Ordering::Relaxed);
-            ROUTED_TOTAL.inc();
-            let raw = codec_bin::frame_bytes(frame_kind, body);
-            match forward_search(state, backends, key, &raw, true, deadline_ms) {
-                Ok(reply) => reply,
-                Err(shed) => shed_frame(shed),
-            }
-        }
-        kind::STATS => {
-            let mut text = stats_line(state);
-            text.pop(); // frame bodies carry the document without the newline
-            codec_bin::frame_bytes(kind::REPLY_STATS, &text)
-        }
-        kind::METRICS => {
-            let mut text = metrics_line(state);
-            text.pop();
-            codec_bin::frame_bytes(kind::REPLY_METRICS, &text)
-        }
-        kind::PING => codec_bin::frame_bytes(kind::REPLY_OK, &[kind::PING]),
-        kind::SHUTDOWN => {
-            state.stop.store(true, Ordering::SeqCst);
-            codec_bin::frame_bytes(kind::REPLY_OK, &[kind::SHUTDOWN])
-        }
-        other => error_frame(&format!("unknown frame kind 0x{other:02X}"), false, None),
-    }
-}
-
-/// The routing key for a JSON search: canonicalise the request subtree and
-/// hash it — identical to the key the daemons cache under, so one key maps
-/// one way through the ring whatever codec carried it.
-fn search_key_json(request_doc: &Json) -> Result<u64, String> {
+/// The routing key for a search: canonicalise the request subtree and hash
+/// it — identical to the key the daemons cache under, so one key maps one
+/// way through the ring whatever the field order or whitespace.
+fn search_key(request_doc: &Json) -> Result<u64, String> {
     let request =
         crate::codec::SearchRequest::from_json(request_doc).map_err(|e| e.message.clone())?;
     let canonical = request.encode().map_err(|e| e.message)?;
     Ok(fnv1a64(canonical.as_bytes()))
 }
 
-fn shed_message(shed: &Shed) -> (&'static str, Option<u64>) {
-    match shed {
-        Shed::Exhausted => ("no shard available", Some(250)),
-        Shed::Deadline => ("deadline", None),
-    }
-}
-
 fn shed_line(shed: Shed) -> Vec<u8> {
-    let (message, hint) = shed_message(&shed);
-    error_line(message, true, hint)
-}
-
-fn shed_frame(shed: Shed) -> Vec<u8> {
-    let (message, hint) = shed_message(&shed);
-    error_frame(message, true, hint)
+    match shed {
+        Shed::Exhausted => error_line("no shard available", true, Some(250)),
+        Shed::Deadline => error_line("deadline", true, None),
+    }
 }
 
 /// `{"ok":false,...}` line, wire-compatible with the daemons' envelope.
@@ -1111,14 +984,6 @@ fn error_line(message: &str, retryable: bool, retry_after_ms: Option<u64>) -> Ve
     let mut line = Json::obj(fields).write().expect("error envelope has no floats").into_bytes();
     line.push(b'\n');
     line
-}
-
-/// `REPLY_ERROR` frame, wire-compatible with the daemons'.
-fn error_frame(message: &str, retryable: bool, retry_after_ms: Option<u64>) -> Vec<u8> {
-    codec_bin::frame_bytes(
-        kind::REPLY_ERROR,
-        &codec_bin::encode_error(message, retryable, retry_after_ms),
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -1,30 +1,21 @@
 //! The std-only TCP search server: a nonblocking event loop in front of a
 //! fixed worker pool.
 //!
-//! ## Wire formats
+//! ## Wire format
 //!
-//! Two codecs share one port, auto-detected per connection from its first
-//! byte and sticky for the connection's lifetime:
+//! Line-delimited JSON: one request document per line, one response
+//! document per line. Operations: `search` (optional op-level `deadline_ms`
+//! and `trace` outside the `request` subtree, so they can never change the
+//! canonical bytes or the cache key), `stats`, `metrics`, `ping`,
+//! `shutdown`. A malformed line — invalid UTF-8, invalid JSON, an unknown
+//! op, a schema violation — gets `{"ok":false,...}` and the connection
+//! stays up. A line longer than 1 MiB is unrecoverable (the buffer cannot
+//! grow without bound), so the server answers one error line and closes.
 //!
-//! * **JSON lines** (first byte anything but `0xB1` — a JSON document opens
-//!   with `{`): one request document per line, one response document per
-//!   line. Operations: `search` (optional op-level `deadline_ms` outside
-//!   the `request` subtree, so it can never change the canonical bytes or
-//!   the cache key), `stats`, `ping`, `shutdown`. Malformed lines get
-//!   `{"ok":false,...}` and the connection stays up.
-//! * **Binary frames** (first byte [`codec_bin::FRAME_MAGIC`]): the
-//!   length-prefixed frames of [`codec_bin`], carrying the same operations
-//!   with varint-packed bodies. Malformed frame *bodies* get a
-//!   [`codec_bin::kind::REPLY_ERROR`] frame and the connection survives;
-//!   malformed *framing* (bad magic, oversized or overlong length) is
-//!   unrecoverable — the stream cannot be resynchronised — so the server
-//!   answers one error frame and closes, the binary analogue of the JSON
-//!   1 MiB line-cap close.
-//!
-//! Both codecs decode to the same [`SearchRequest`] and canonicalise to the
-//! same bytes, so **one request key maps to one cache entry regardless of
-//! wire format** — a plan cached by a JSON client is a warm hit for a
-//! binary client and vice versa.
+//! Every request is decoded to a [`SearchRequest`] and re-encoded
+//! canonically, so **one request key maps to one cache entry regardless of
+//! field order or whitespace**, and a hit's payload is the cached canonical
+//! bytes spliced verbatim into the reply.
 //!
 //! ## Threading
 //!
@@ -81,7 +72,6 @@ use pte_telemetry::{Counter, Gauge, Histogram, Trace};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::codec::{self, ErrorClass, SearchRequest};
-use crate::codec_bin::{self, kind};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::json::{fnv1a64, Json};
 use crate::store::PlanStore;
@@ -126,8 +116,6 @@ static REQ_SHUTDOWN_US: LazyLock<Histogram> =
     LazyLock::new(|| pte_telemetry::global().histogram("pte_request_shutdown_us"));
 static REQ_JSON_US: LazyLock<Histogram> =
     LazyLock::new(|| pte_telemetry::global().histogram("pte_request_json_us"));
-static REQ_BINARY_US: LazyLock<Histogram> =
-    LazyLock::new(|| pte_telemetry::global().histogram("pte_request_binary_us"));
 
 /// The per-op request-latency histogram, if the op has one (error paths
 /// and unknown ops do not).
@@ -161,7 +149,6 @@ fn init_metrics() {
     LazyLock::force(&REQ_PING_US);
     LazyLock::force(&REQ_SHUTDOWN_US);
     LazyLock::force(&REQ_JSON_US);
-    LazyLock::force(&REQ_BINARY_US);
     pte_telemetry::global().histogram("pte_span_search_us");
     pte_telemetry::global().histogram("pte_span_evolve_class_us");
     pte_telemetry::global().histogram("pte_cache_hit_us");
@@ -285,11 +272,7 @@ pub struct ServerState {
     inflight: AtomicU64,
     /// Open connections (event-loop gauge).
     connections: AtomicU64,
-    /// Requests answered over the JSON line codec.
-    codec_json: AtomicU64,
-    /// Requests answered over the binary frame codec.
-    codec_binary: AtomicU64,
-    /// Global request ordinal (fault-hook addressing), both codecs.
+    /// Global request ordinal (fault-hook addressing).
     request_seq: AtomicU64,
     /// Global cache-miss compute ordinal (fault-hook addressing).
     compute_seq: AtomicU64,
@@ -348,16 +331,6 @@ impl ServerState {
     /// Currently open connections.
     pub fn connections(&self) -> u64 {
         self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered over the JSON line codec.
-    pub fn codec_json(&self) -> u64 {
-        self.codec_json.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered over the binary frame codec.
-    pub fn codec_binary(&self) -> u64 {
-        self.codec_binary.load(Ordering::Relaxed)
     }
 
     /// Records appended to the plan log this process.
@@ -445,9 +418,7 @@ impl Drop for ServerHandle {
 
 /// Maximum accepted JSON request-line length. Custom networks are a few
 /// KiB; anything near this bound is hostile, and without a cap one
-/// newline-less client could grow the loop's buffer without limit. Binary
-/// frames carry their own identical bound ([`codec_bin::MAX_FRAME_BYTES`]),
-/// enforced from the declared length before the body arrives.
+/// newline-less client could grow the loop's buffer without limit.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The event loop's per-sweep read chunk.
@@ -498,8 +469,6 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         panics: AtomicU64::new(0),
         inflight: AtomicU64::new(0),
         connections: AtomicU64::new(0),
-        codec_json: AtomicU64::new(0),
-        codec_binary: AtomicU64::new(0),
         request_seq: AtomicU64::new(0),
         compute_seq: AtomicU64::new(0),
         max_pending_searches: config.max_pending_searches.max(1) as u64,
@@ -567,34 +536,20 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 // Event loop
 // ---------------------------------------------------------------------------
 
-/// The wire codec a connection speaks, fixed by its first byte.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Codec {
-    Json,
-    Binary,
-}
-
-/// One message extracted from a connection's byte stream, handed to a
-/// worker. JSON lines travel as raw bytes: UTF-8 validation happens in the
-/// worker so a validation error is just another reply, not loop work.
-enum JobMessage {
-    JsonLine(Vec<u8>),
-    Frame { kind: u8, body: Vec<u8> },
-}
-
-/// A unit of work for the pool, addressed back to its connection slot.
+/// One request line for the pool, addressed back to its connection slot.
 /// `epoch` guards slot reuse: a completion for a connection that closed
-/// (and whose slot now holds a newer one) is discarded.
+/// (and whose slot now holds a newer one) is discarded. The line travels as
+/// raw bytes: UTF-8 validation happens in the worker so a validation error
+/// is just another reply, not loop work.
 struct Job {
     slot: usize,
     epoch: u64,
-    message: JobMessage,
+    line: Vec<u8>,
 }
 
 /// What a worker produced for a job.
 enum Outcome {
-    /// Bytes to queue on the connection (a JSON line with its newline, or a
-    /// complete binary frame).
+    /// Bytes to queue on the connection (a JSON line with its newline).
     Reply(Vec<u8>),
     /// Sever the connection without replying (injected disconnect).
     Silent,
@@ -610,20 +565,18 @@ struct Completion {
 /// One connection owned by the event loop.
 struct Connection {
     stream: TcpStream,
-    /// Accumulated inbound bytes not yet forming a complete message.
+    /// Accumulated inbound bytes not yet forming a complete line.
     buf: Vec<u8>,
     /// Outbound bytes not yet accepted by the socket.
     out: Vec<u8>,
-    /// Set once the first byte arrives; sticky.
-    codec: Option<Codec>,
-    /// A request is in flight; no further messages are extracted (and no
+    /// A request is in flight; no further lines are extracted (and no
     /// reads are issued) until its reply is queued.
     busy: bool,
     epoch: u64,
     /// Idle clock: reset when a reply is queued, like the old per-worker
     /// `last_request` — trickling partial bytes does not reset it.
     last_reply: Instant,
-    /// Deliver `out`, then close (oversized line, broken framing, drain).
+    /// Deliver `out`, then close (oversized line, drain).
     close_after_flush: bool,
 }
 
@@ -720,7 +673,6 @@ impl EventLoop {
                         stream,
                         buf: Vec::new(),
                         out: Vec::new(),
-                        codec: None,
                         busy: false,
                         epoch,
                         last_reply: Instant::now(),
@@ -843,65 +795,33 @@ impl EventLoop {
             }
         }
         while !conn.busy {
-            let codec = match conn.codec {
-                Some(codec) => codec,
-                None => {
-                    let Some(&first) = conn.buf.first() else { break };
-                    let detected =
-                        if first == codec_bin::FRAME_MAGIC { Codec::Binary } else { Codec::Json };
-                    conn.codec = Some(detected);
-                    detected
+            match conn.buf.iter().position(|&b| b == b'\n') {
+                Some(newline) => {
+                    let line: Vec<u8> = conn.buf[..newline].to_vec();
+                    conn.buf.drain(..=newline);
+                    if line.iter().all(u8::is_ascii_whitespace) {
+                        continue; // blank keep-alive line: not a request
+                    }
+                    self.dispatch_job(index, conn, line);
                 }
-            };
-            match codec {
-                Codec::Json => match conn.buf.iter().position(|&b| b == b'\n') {
-                    Some(newline) => {
-                        let line: Vec<u8> = conn.buf[..newline].to_vec();
-                        conn.buf.drain(..=newline);
-                        if line.iter().all(u8::is_ascii_whitespace) {
-                            continue; // blank keep-alive line: not a request
-                        }
-                        self.dispatch_job(index, conn, JobMessage::JsonLine(line));
-                    }
-                    None => {
-                        if conn.buf.len() > MAX_LINE_BYTES {
-                            let reply = error_line(&self.state, "request line exceeds 1 MiB");
-                            conn.out.extend_from_slice(reply.as_bytes());
-                            conn.out.push(b'\n');
-                            conn.close_after_flush = true;
-                        }
-                        break;
-                    }
-                },
-                Codec::Binary => match codec_bin::try_extract_frame(&conn.buf) {
-                    Ok(Some((frame_kind, body, consumed))) => {
-                        conn.buf.drain(..consumed);
-                        self.dispatch_job(
-                            index,
-                            conn,
-                            JobMessage::Frame { kind: frame_kind, body },
-                        );
-                    }
-                    Ok(None) => break, // incomplete frame: wait for more bytes
-                    Err(e) => {
-                        // Broken framing is unrecoverable: answer and close.
-                        self.state.errors.fetch_add(1, Ordering::Relaxed);
-                        let body = codec_bin::encode_error(&e.to_string(), false, None);
-                        conn.out
-                            .extend_from_slice(&codec_bin::frame_bytes(kind::REPLY_ERROR, &body));
+                None => {
+                    if conn.buf.len() > MAX_LINE_BYTES {
+                        let reply = error_line(&self.state, "request line exceeds 1 MiB");
+                        conn.out.extend_from_slice(reply.as_bytes());
+                        conn.out.push(b'\n');
                         conn.close_after_flush = true;
-                        break;
                     }
-                },
+                    break;
+                }
             }
         }
         Pump::Keep
     }
 
-    fn dispatch_job(&mut self, index: usize, conn: &mut Connection, message: JobMessage) {
+    fn dispatch_job(&mut self, index: usize, conn: &mut Connection, line: Vec<u8>) {
         conn.busy = true;
         self.busy += 1;
-        if self.job_tx.send(Job { slot: index, epoch: conn.epoch, message }).is_err() {
+        if self.job_tx.send(Job { slot: index, epoch: conn.epoch, line }).is_err() {
             conn.close_after_flush = true; // worker pool gone: drain what we have
         }
     }
@@ -945,67 +865,44 @@ fn worker_loop(
         // runs outside it.
         let job = { jobs.lock().expect("job queue").recv() };
         let Ok(job) = job else { return }; // event loop exited: drain done
-        let outcome = handle_job(job.message, state);
+        let outcome = handle_job(&job.line, state);
         if completions.send(Completion { slot: job.slot, epoch: job.epoch, outcome }).is_err() {
             return;
         }
     }
 }
 
-/// Handles one message under `catch_unwind`: a panic anywhere in request
-/// handling (injected or organic) is contained to an `internal panic` reply
-/// on the owning connection; the daemon survives. The unwind is safe to
-/// catch — handlers hold no locks across the panic points (cache computes
-/// run outside the shard lock, and the single-flight guard repairs its
-/// entry during the unwind), and all shared state is atomics or
+/// Handles one request line under `catch_unwind`: a panic anywhere in
+/// request handling (injected or organic) is contained to an `internal
+/// panic` reply on the owning connection; the daemon survives. The unwind is
+/// safe to catch — handlers hold no locks across the panic points (cache
+/// computes run outside the shard lock, and the single-flight guard repairs
+/// its entry during the unwind), and all shared state is atomics or
 /// lock-per-touch.
-fn handle_job(message: JobMessage, state: &Arc<ServerState>) -> Outcome {
+fn handle_job(line: &[u8], state: &Arc<ServerState>) -> Outcome {
     let started = Instant::now();
-    match message {
-        JobMessage::JsonLine(line) => {
-            let reply = match std::str::from_utf8(&line) {
-                Ok(text) => {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        dispatch(text.trim(), state)
-                    }));
-                    match outcome {
-                        Ok(Some(response)) => response,
-                        Ok(None) => return Outcome::Silent,
-                        Err(_) => {
-                            state.panics.fetch_add(1, Ordering::Relaxed);
-                            PANIC_TOTAL.inc();
-                            error_envelope(state, "internal panic", true, None)
-                        }
-                    }
-                }
-                Err(_) => error_line(state, "request line is not valid UTF-8"),
-            };
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            state.codec_json.fetch_add(1, Ordering::Relaxed);
-            REQ_JSON_US.record_duration_us(started.elapsed());
-            let mut bytes = reply.into_bytes();
-            bytes.push(b'\n');
-            Outcome::Reply(bytes)
-        }
-        JobMessage::Frame { kind: frame_kind, body } => {
+    let reply = match std::str::from_utf8(line) {
+        Ok(text) => {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dispatch_frame(frame_kind, &body, state)
+                dispatch(text.trim(), state)
             }));
-            let frame = match outcome {
-                Ok(Some(frame)) => frame,
+            match outcome {
+                Ok(Some(response)) => response,
                 Ok(None) => return Outcome::Silent,
                 Err(_) => {
                     state.panics.fetch_add(1, Ordering::Relaxed);
                     PANIC_TOTAL.inc();
-                    error_frame(state, "internal panic", true, None)
+                    error_envelope(state, "internal panic", true, None)
                 }
-            };
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            state.codec_binary.fetch_add(1, Ordering::Relaxed);
-            REQ_BINARY_US.record_duration_us(started.elapsed());
-            Outcome::Reply(frame)
+            }
         }
-    }
+        Err(_) => error_line(state, "request line is not valid UTF-8"),
+    };
+    state.requests.fetch_add(1, Ordering::Relaxed);
+    REQ_JSON_US.record_duration_us(started.elapsed());
+    let mut bytes = reply.into_bytes();
+    bytes.push(b'\n');
+    Outcome::Reply(bytes)
 }
 
 /// Builds an error envelope with retry metadata.
@@ -1032,20 +929,6 @@ fn error_line(state: &ServerState, message: &str) -> String {
     error_envelope(state, message, false, None)
 }
 
-/// Builds a complete error reply frame (the binary `{"ok":false}`).
-fn error_frame(
-    state: &ServerState,
-    message: &str,
-    retryable: bool,
-    retry_after_ms: Option<u64>,
-) -> Vec<u8> {
-    state.errors.fetch_add(1, Ordering::Relaxed);
-    codec_bin::frame_bytes(
-        kind::REPLY_ERROR,
-        &codec_bin::encode_error(message, retryable, retry_after_ms),
-    )
-}
-
 /// Consults the fault hook and dispatches one JSON protocol line. `None`
 /// means "sever the connection without replying" (injected disconnect).
 fn dispatch(line: &str, state: &Arc<ServerState>) -> Option<String> {
@@ -1059,22 +942,6 @@ fn dispatch(line: &str, state: &Arc<ServerState>) -> Option<String> {
         }
     }
     Some(handle_line(line, state))
-}
-
-/// Consults the fault hook and dispatches one binary frame. The Request
-/// fault point sees one global ordinal stream across both codecs, so a
-/// chaos script replays identically over either wire format.
-fn dispatch_frame(frame_kind: u8, body: &[u8], state: &Arc<ServerState>) -> Option<Vec<u8>> {
-    if let Some(hook) = &state.fault_hook {
-        let index = state.request_seq.fetch_add(1, Ordering::Relaxed);
-        match hook(FaultPoint::Request { index }) {
-            FaultAction::None => {}
-            FaultAction::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            FaultAction::Disconnect => return None,
-            FaultAction::Panic => panic!("injected request fault (request {index})"),
-        }
-    }
-    Some(handle_frame(frame_kind, body, state))
 }
 
 /// Dispatches one JSON protocol line.
@@ -1114,11 +981,7 @@ fn handle_line(line: &str, state: &Arc<ServerState>) -> String {
                 Ok(response) => response,
                 Err(e) => {
                     let (message, retryable) = failure_parts(state, &e);
-                    if retryable {
-                        error_envelope(state, &message, true, None)
-                    } else {
-                        error_line(state, &message)
-                    }
+                    error_envelope(state, &message, retryable, None)
                 }
             }
         }
@@ -1141,36 +1004,7 @@ fn handle_line(line: &str, state: &Arc<ServerState>) -> String {
     response
 }
 
-/// Dispatches one binary frame. Op coverage mirrors [`handle_line`]; the
-/// stats reply carries the canonical JSON stats text (stats are
-/// human-facing diagnostics — packing them buys nothing).
-fn handle_frame(frame_kind: u8, body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
-    let started = Instant::now();
-    let (op, frame) = match frame_kind {
-        kind::SEARCH => ("search", handle_search_frame(body, state)),
-        kind::STATS => {
-            ("stats", codec_bin::frame_bytes(kind::REPLY_STATS, stats_line(state).as_bytes()))
-        }
-        kind::METRICS => {
-            ("metrics", codec_bin::frame_bytes(kind::REPLY_METRICS, metrics_line(state).as_bytes()))
-        }
-        kind::PING => ("ping", codec_bin::frame_bytes(kind::REPLY_OK, &[kind::PING])),
-        kind::SHUTDOWN => {
-            state.stop.store(true, Ordering::SeqCst);
-            ("shutdown", codec_bin::frame_bytes(kind::REPLY_OK, &[kind::SHUTDOWN]))
-        }
-        other => {
-            return error_frame(state, &format!("unknown frame kind 0x{other:02X}"), false, None)
-        }
-    };
-    if let Some(hist) = op_histogram(op) {
-        hist.record_duration_us(started.elapsed());
-    }
-    frame
-}
-
 /// Maps a search failure to its wire parts, counting deadline expiries.
-/// Shared by both codecs so their retryability verdicts cannot drift.
 fn failure_parts(state: &ServerState, e: &codec::CodecError) -> (String, bool) {
     match e.class {
         ErrorClass::Deadline => {
@@ -1183,18 +1017,12 @@ fn failure_parts(state: &ServerState, e: &codec::CodecError) -> (String, bool) {
     }
 }
 
-/// What a search produced, codec-independent: the payload's canonical
-/// bytes straight from the cache, plus the raw content-hash key (the JSON
-/// envelope renders it as 16 hex digits, the binary reply as a varint).
+/// What a search produced: the payload's canonical bytes straight from the
+/// cache.
 struct ServedSearch {
-    key: u64,
     hit: bool,
     coalesced: bool,
     payload: std::sync::Arc<str>,
-    /// Rendered span-tree JSON, present only when the request asked for a
-    /// trace. Never part of the payload: the payload bytes of a traced
-    /// reply are bit-identical to the untraced ones.
-    trace_json: Option<String>,
 }
 
 enum SearchVerdict {
@@ -1202,43 +1030,12 @@ enum SearchVerdict {
     Shed,
 }
 
-/// The codec-independent search core: canonicalise, peek, admission,
-/// deadline token, single-flight fetch, plan-log append. Both wire formats
-/// funnel through here, which is what makes the "one request key, one
+/// The search core, under the request's root span: peek, admission,
+/// deadline token, single-flight fetch, plan-log append. Every search
+/// funnels through here, which is what makes the "one request key, one
 /// cache entry, bit-identical bytes" invariant structural rather than
 /// incidental.
 fn run_search(
-    request: &SearchRequest,
-    deadline_ms: Option<u64>,
-    trace: bool,
-    state: &Arc<ServerState>,
-) -> codec::CodecResult<SearchVerdict> {
-    // Re-encode canonically: the cache key is independent of the client's
-    // field order, whitespace, and wire format.
-    let canonical = request.encode()?;
-    let hash = fnv1a64(canonical.as_bytes());
-
-    // Tracing installs on this worker thread only. The single-flight
-    // leader runs its compute closure on the calling thread, so the
-    // Evaluator's stage spans nest under the root span; a warm hit gets a
-    // minimal tree. The trace id derives from the request key — same
-    // request, same id — and tracing is observation-only: it cannot touch
-    // the key, the search, or the payload bytes.
-    let trace_guard = trace.then(|| Trace::begin(pte_telemetry::derive_trace_id(hash, 0)));
-    let verdict = run_search_core(request, &canonical, hash, deadline_ms, state);
-    let trace_json = trace_guard
-        .map(|t| trace_report_json(&t.finish()).write().expect("span trees have no floats"));
-    match verdict? {
-        SearchVerdict::Shed => Ok(SearchVerdict::Shed),
-        SearchVerdict::Served(mut served) => {
-            served.trace_json = trace_json;
-            Ok(SearchVerdict::Served(served))
-        }
-    }
-}
-
-/// [`run_search`] minus trace installation, under the request's root span.
-fn run_search_core(
     request: &SearchRequest,
     canonical: &str,
     hash: u64,
@@ -1250,13 +1047,7 @@ fn run_search_core(
     // Degraded-mode fast path: a ready entry answers without touching
     // admission, so hits keep flowing while cold searches are shed.
     if let Some(payload) = state.cache.peek(canonical, hash) {
-        return Ok(SearchVerdict::Served(ServedSearch {
-            key: hash,
-            hit: true,
-            coalesced: false,
-            payload,
-            trace_json: None,
-        }));
+        return Ok(SearchVerdict::Served(ServedSearch { hit: true, coalesced: false, payload }));
     }
 
     // Bounded admission: every non-hit request (leader or coalescing
@@ -1314,11 +1105,9 @@ fn run_search_core(
     }
 
     Ok(SearchVerdict::Served(ServedSearch {
-        key: hash,
         hit: fetched.hit,
         coalesced: fetched.coalesced,
         payload: fetched.payload,
-        trace_json: None,
     }))
 }
 
@@ -1373,8 +1162,7 @@ fn search_envelope(
     Ok(response)
 }
 
-/// Runs one JSON search request through the shared core and assembles the
-/// envelope.
+/// Runs one search request through the core and assembles the envelope.
 fn handle_search(
     request_doc: &Json,
     deadline_ms: Option<u64>,
@@ -1382,77 +1170,38 @@ fn handle_search(
     state: &Arc<ServerState>,
 ) -> codec::CodecResult<String> {
     let start = Instant::now();
-    // Decode straight from the already-parsed subtree (no re-parse).
+    // Decode straight from the already-parsed subtree (no re-parse), then
+    // re-encode canonically: the cache key is independent of the client's
+    // field order and whitespace.
     let request = SearchRequest::from_json(request_doc)?;
-    match run_search(&request, deadline_ms, trace, state)? {
+    let canonical = request.encode()?;
+    let hash = fnv1a64(canonical.as_bytes());
+
+    // Tracing installs on this worker thread only. The single-flight
+    // leader runs its compute closure on the calling thread, so the
+    // Evaluator's stage spans nest under the root span; a warm hit gets a
+    // minimal tree. The trace id derives from the request key — same
+    // request, same id — and tracing is observation-only: it cannot touch
+    // the key, the search, or the payload bytes.
+    let trace_guard = trace.then(|| Trace::begin(pte_telemetry::derive_trace_id(hash, 0)));
+    let verdict = run_search(&request, &canonical, hash, deadline_ms, state);
+    let trace_json = trace_guard
+        .map(|t| trace_report_json(&t.finish()).write().expect("span trees have no floats"));
+    match verdict? {
         SearchVerdict::Shed => {
             Ok(error_envelope(state, "overloaded", true, Some(state.retry_after_ms)))
         }
         SearchVerdict::Served(served) => search_envelope(
-            format!("{:016x}", served.key),
+            format!("{hash:016x}"),
             served.hit,
             served.coalesced,
             start,
             &served.payload,
-            served.trace_json.as_deref(),
+            trace_json.as_deref(),
         ),
     }
 }
 
-/// Runs one binary search request through the shared core and assembles
-/// the reply frame. The reply's payload is the cached canonical bytes
-/// re-expressed in the binary codec — an exact round trip (raw f64 bits,
-/// canonical-form step tokens), so a binary client's re-encoded canonical
-/// bytes are bit-identical to what a JSON client receives.
-fn handle_search_frame(body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
-    let start = Instant::now();
-    let (request, deadline_ms, trace) = match codec_bin::decode_search_request(body) {
-        Ok(parts) => parts,
-        Err(e) => return error_frame(state, &e.to_string(), false, None),
-    };
-    match run_search(&request, deadline_ms, trace, state) {
-        Ok(SearchVerdict::Shed) => {
-            error_frame(state, "overloaded", true, Some(state.retry_after_ms))
-        }
-        Ok(SearchVerdict::Served(served)) => {
-            let packed = codec::PlanPayload::parse(&served.payload)
-                .and_then(|payload| codec_bin::encode_payload(&payload));
-            match packed {
-                Ok(payload_body) => {
-                    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                    let reply = codec_bin::encode_search_reply(
-                        served.key,
-                        served.hit,
-                        served.coalesced,
-                        elapsed_ms,
-                        &payload_body,
-                        served.trace_json.as_deref(),
-                    );
-                    codec_bin::frame_bytes(kind::REPLY_SEARCH, &reply)
-                }
-                Err(e) => error_frame(state, &e.to_string(), false, None),
-            }
-        }
-        Err(e) => {
-            let (message, retryable) = failure_parts(state, &e);
-            error_frame(state, &message, retryable, None)
-        }
-    }
-}
-
-/// Builds the stats envelope (served as JSON text over both codecs).
-///
-/// The `probe_cache` section is the probe memo's health on a long-lived
-/// daemon: `misses` is probes actually executed (the compute an operator
-/// pays), `hit_rate` measures cross-request reuse, and `evictions` creeping
-/// up signals the memo is undersized for the workload
-/// (`--probe-cache-cap` / `PTE_PROBE_CACHE_CAP`).
-///
-/// The failure counters (`shed`, `deadlines`, `panics`) plus the cache's
-/// `fetches`/`failures`/`peek_hits` make the conservation law checkable
-/// from the wire: `hits + misses + coalesced + failures ==
-/// fetches + peek_hits`. Warm-start seeds sit outside the law (`seeded` is
-/// not a fetch; only the hits a seed later serves are counted).
 /// Saturating `Duration` → whole milliseconds. `as_millis` is `u128`; a
 /// plain `as u64` silently wraps for absurd-but-accepted configurations
 /// (e.g. an idle timeout of `u64::MAX` seconds), so out-of-range values pin
@@ -1492,8 +1241,6 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
         ("panics", json_count(state.panics.load(Ordering::Relaxed))),
         ("inflight", json_count(state.inflight.load(Ordering::SeqCst))),
         ("connections", json_count(state.connections.load(Ordering::Relaxed))),
-        ("codec_json", json_count(state.codec_json.load(Ordering::Relaxed))),
-        ("codec_binary", json_count(state.codec_binary.load(Ordering::Relaxed))),
         ("idle_timeout_ms", json_count(state.idle_timeout_ms)),
         ("poll_interval_ms", json_count(state.poll_interval_ms)),
         ("poll_interval_us", json_count(state.poll_interval_us)),
@@ -1542,6 +1289,19 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
     ])
 }
 
+/// Builds the stats envelope.
+///
+/// The `probe_cache` section is the probe memo's health on a long-lived
+/// daemon: `misses` is probes actually executed (the compute an operator
+/// pays), `hit_rate` measures cross-request reuse, and `evictions` creeping
+/// up signals the memo is undersized for the workload
+/// (`--probe-cache-cap` / `PTE_PROBE_CACHE_CAP`).
+///
+/// The failure counters (`shed`, `deadlines`, `panics`) plus the cache's
+/// `fetches`/`failures`/`peek_hits` make the conservation law checkable
+/// from the wire: `hits + misses + coalesced + failures ==
+/// fetches + peek_hits`. Warm-start seeds sit outside the law (`seeded` is
+/// not a fetch; only the hits a seed later serves are counted).
 fn stats_line(state: &Arc<ServerState>) -> String {
     stats_json(state).write().expect("uptime is finite")
 }

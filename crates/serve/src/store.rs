@@ -44,7 +44,7 @@ static APPEND_BYTES: LazyLock<Counter> =
     LazyLock::new(|| pte_telemetry::global().counter("pte_store_append_bytes_total"));
 
 /// Hard bound on one record's body. Requests and payloads are each under
-/// the wire codecs' 1 MiB caps; a larger declared length is corruption.
+/// the wire's 1 MiB line cap; a larger declared length is corruption.
 const MAX_RECORD_BYTES: usize = 4 << 20;
 
 /// Boot-time compaction triggers once the bytes held by superseded

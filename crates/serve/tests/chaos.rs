@@ -293,98 +293,6 @@ fn overloaded_daemon_sheds_cold_searches_but_serves_hits() {
 }
 
 #[test]
-fn seeded_wire_faults_over_binary_frames_recover_bit_identical_payloads() {
-    let handle = start(ServerConfig { workers: 4, ..ServerConfig::default() });
-    let addr = handle.addr();
-
-    let request = bench_request(0xB1CA);
-    let expected = codec::execute(&request).expect("fault-free reference payload");
-
-    // The same seeds as the JSON leg drive the same byte-level schedules —
-    // a `TornWrite{keep:0..24}` lands inside the magic byte or the varint
-    // length prefix of a binary search frame, the torn-frame case the
-    // extractor must treat as "incomplete, then EOF", never a decode.
-    let mut total_retries = 0u64;
-    for &seed in &CHAOS_SEEDS {
-        let script = FaultScript::from_seed(seed);
-        let connector: pte_serve::retry::Connector = {
-            let script = Arc::clone(&script);
-            Box::new(move || {
-                let stream = FaultyStream::connect(addr, Arc::clone(&script))?;
-                Ok(Client::from_conn_with(Box::new(stream), pte_serve::client::ClientCodec::Binary))
-            })
-        };
-        let mut client = RetryClient::new(connector, test_policy(seed));
-        let reply = client
-            .search(&request)
-            .unwrap_or_else(|e| panic!("seed {seed} did not converge over binary frames: {e}"));
-        assert_eq!(
-            reply.payload_canonical, expected,
-            "seed {seed}: binary-recovered payload diverged from the fault-free run"
-        );
-        total_retries += client.retries();
-    }
-    assert!(total_retries > 0, "no scripted fault actually forced a binary retry");
-    assert!(
-        handle.state().cache_stats().is_conserved(),
-        "conservation law violated: {:?}",
-        handle.state().cache_stats()
-    );
-    handle.join();
-}
-
-#[test]
-fn torn_binary_writes_mid_length_prefix_never_wedge_the_daemon() {
-    use pte_serve::client::ClientCodec;
-    use pte_serve::fault::{WireEvent, WireFault};
-
-    let handle = start(ServerConfig { workers: 2, ..ServerConfig::default() });
-    let addr = handle.addr();
-    let request = bench_request(0xB1B1);
-    let expected = codec::execute(&request).expect("fault-free reference payload");
-
-    // Tear the first write after `keep` bytes, for every cut inside the
-    // frame header: 0 = nothing, 1 = magic only, 2 = magic + first varint
-    // byte, 3 = header + kind. The daemon must hold each as an incomplete
-    // frame until the EOF, then reap the connection — and the retry layer
-    // must recover identical bytes on a fresh one.
-    for keep in 0usize..4 {
-        let script =
-            FaultScript::of(vec![WireEvent { skip: 0, fault: WireFault::TornWrite { keep } }]);
-        let connector: pte_serve::retry::Connector = {
-            let script = Arc::clone(&script);
-            Box::new(move || {
-                let stream = FaultyStream::connect(addr, Arc::clone(&script))?;
-                Ok(Client::from_conn_with(Box::new(stream), ClientCodec::Binary))
-            })
-        };
-        let mut client = RetryClient::new(connector, test_policy(0xB1 + keep as u64));
-        let reply = client.search(&request).expect("torn header must heal by retry");
-        assert_eq!(
-            reply.payload_canonical, expected,
-            "keep={keep}: payload diverged after a torn frame header"
-        );
-        assert_eq!(client.retries(), 1, "keep={keep}: exactly one reconnect-and-resend");
-    }
-
-    // A frame split mid-length-prefix with a pause (no error) is not a
-    // fault at all: the event loop buffers across reads and parses once
-    // the remainder lands — the binary analogue of split-write JSON lines.
-    let script = FaultScript::of(vec![WireEvent {
-        skip: 0,
-        fault: WireFault::SplitWrite { at: 2, pause_ms: 120 },
-    }]);
-    let stream = FaultyStream::connect(addr, script).expect("connect");
-    let mut client = Client::from_conn_with(Box::new(stream), ClientCodec::Binary);
-    let reply = client.search(&request).expect("split frame header must reassemble");
-    assert!(reply.cache_hit, "the healed searches above cached the plan");
-    assert_eq!(reply.payload_canonical, expected);
-
-    assert!(handle.state().cache_stats().is_conserved(), "conservation law violated");
-    handle.join();
-}
-
-#[test]
 fn torn_plan_log_tail_recovers_bit_identical_payloads() {
     let store = std::env::temp_dir().join(format!("pte-chaos-torn-log-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&store);
@@ -449,7 +357,7 @@ fn torn_plan_log_tail_recovers_bit_identical_payloads() {
         ..ServerConfig::default()
     });
     assert_eq!(third.state().store_loaded(), 2, "the healed log replays both plans");
-    let mut client = Client::connect_binary(third.addr()).expect("connect binary");
+    let mut client = Client::connect(third.addr()).expect("connect");
     let h1 = client.search(&r1).expect("healed r1");
     let h2 = client.search(&r2).expect("healed r2");
     assert!(h1.cache_hit && h2.cache_hit);

@@ -3,13 +3,6 @@
 //! compares equal to the original — the contract the cache keys and the
 //! end-to-end plan bit-identity stand on. Plus the malformed-input
 //! rejections: truncated lines, unknown fields, and bad request keys.
-//!
-//! The binary codec rides the same generators: cross-codec parity asserts
-//! that `codec_bin` encode → decode yields a value object-for-object equal
-//! to the JSON parse of the same document (floats to the bit), that both
-//! wire formats hash to the byte-identical content key (one cache
-//! namespace), and that truncated or oversized binary frames are rejected
-//! exactly where truncated JSON lines are.
 
 use proptest::prelude::*;
 
@@ -17,8 +10,6 @@ use pte_serve::codec::{
     check_key, request_key, LayerPlanDoc, LayerSpec, NetworkSpec, PlanPayload, PlatformId,
     SearchRequest, StatsDoc, Strategy as SearchStrategy, PRESETS,
 };
-use pte_serve::codec_bin;
-use pte_serve::json::fnv1a64;
 
 fn arb_platform() -> impl Strategy<Value = PlatformId> {
     prop::sample::select(vec![PlatformId::Cpu, PlatformId::Gpu, PlatformId::Mcpu, PlatformId::Mgpu])
@@ -302,153 +293,5 @@ proptest! {
             prop_assert!(check_key(&canonical, &key.to_uppercase()).is_err());
         }
         prop_assert!(check_key(&canonical, &format!("{key}0")).is_err());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Cross-codec request parity: the binary encoding of a request decodes
-    /// to a value object-for-object equal to the JSON parse of the same
-    /// request, and both wire formats resolve to the byte-identical
-    /// content-hash key — one cache namespace, whichever codec carried the
-    /// request.
-    #[test]
-    fn binary_request_matches_json_parse(
-        request in arb_request(),
-        deadline in (any::<bool>(), 1u64..100_000).prop_map(|(some, v)| some.then_some(v)),
-        trace in any::<bool>(),
-    ) {
-        let canonical = request.encode().expect("json encode");
-        let (json_parsed, json_canonical, json_key) =
-            SearchRequest::parse_canonical(&canonical).expect("json parse");
-
-        let body = codec_bin::encode_search_request(&request, deadline, trace);
-        let (bin_parsed, bin_deadline, bin_trace) =
-            codec_bin::decode_search_request(&body).expect("binary decode");
-        prop_assert_eq!(&bin_parsed, &json_parsed, "codecs must parse to the same object");
-        prop_assert_eq!(bin_deadline, deadline);
-        prop_assert_eq!(bin_trace, trace, "the trace flag must round-trip");
-
-        // Same canonical bytes → same content hash → same cache key.
-        let bin_canonical = bin_parsed.encode().expect("re-encode");
-        prop_assert_eq!(&bin_canonical, &json_canonical);
-        prop_assert_eq!(&request_key(&bin_canonical), &json_key, "cache keys must be byte-equal");
-        prop_assert_eq!(format!("{:016x}", fnv1a64(bin_canonical.as_bytes())), json_key);
-    }
-
-    /// Cross-codec payload parity: binary encode → decode equals the JSON
-    /// parse, metrics compared to the bit, and re-encoding the decoded
-    /// value reproduces the canonical JSON bytes — the bit-identity
-    /// contract holds through either wire format.
-    #[test]
-    fn binary_payload_matches_json_parse(payload in arb_payload()) {
-        let canonical = payload.encode().expect("json encode");
-        let json_parsed = PlanPayload::parse(&canonical).expect("json parse");
-
-        let body = codec_bin::encode_payload(&payload).expect("binary encode");
-        let bin_parsed = codec_bin::decode_payload(&body).expect("binary decode");
-        prop_assert_eq!(&bin_parsed, &json_parsed, "codecs must parse to the same object");
-        prop_assert_eq!(bin_parsed.latency_ms.to_bits(), json_parsed.latency_ms.to_bits());
-        prop_assert_eq!(bin_parsed.fisher.to_bits(), json_parsed.fisher.to_bits());
-        prop_assert_eq!(
-            bin_parsed.original_fisher.to_bits(),
-            json_parsed.original_fisher.to_bits()
-        );
-        for (b, j) in bin_parsed.layers.iter().zip(json_parsed.layers.iter()) {
-            prop_assert_eq!(b.latency_ms.to_bits(), j.latency_ms.to_bits());
-            prop_assert_eq!(b.fisher.to_bits(), j.fisher.to_bits());
-        }
-        prop_assert_eq!(
-            bin_parsed.encode().expect("re-encode"),
-            canonical,
-            "binary round trip must reproduce the canonical JSON bytes"
-        );
-    }
-
-    /// The size story, pinned as a property: the packed payload body is
-    /// always smaller than the canonical JSON for real plan shapes.
-    #[test]
-    fn binary_payload_is_smaller_than_json(payload in arb_payload()) {
-        let canonical = payload.encode().expect("json encode");
-        let body = codec_bin::encode_payload(&payload).expect("binary encode");
-        prop_assert!(
-            body.len() < canonical.len(),
-            "binary must pack tighter: {} vs {} bytes",
-            body.len(),
-            canonical.len()
-        );
-    }
-
-    /// Truncating a framed binary message anywhere strictly inside it is
-    /// never a decode: the extractor reports "incomplete" (wait for more
-    /// bytes) or a malformed-frame error — a silent partial decode is the
-    /// one outcome that must be impossible (mirrors the truncated-JSON
-    /// rejection above).
-    #[test]
-    fn truncated_binary_frames_never_decode(
-        request in arb_request(),
-        cut in 1usize..4096,
-    ) {
-        let frame = codec_bin::frame_bytes(
-            codec_bin::kind::SEARCH,
-            &codec_bin::encode_search_request(&request, None, false),
-        );
-        let full = codec_bin::try_extract_frame(&frame).expect("full frame extracts");
-        prop_assert!(full.is_some());
-        let (_, _, consumed) = full.expect("frame");
-        prop_assert_eq!(consumed, frame.len());
-
-        let cut = cut % frame.len(); // strictly inside: 0..len
-        match codec_bin::try_extract_frame(&frame[..cut]) {
-            Ok(None) => {}  // incomplete — extractor asks for more bytes
-            Ok(Some(_)) => prop_assert!(false, "truncated frame must never extract"),
-            Err(_) => {}    // cut inside the magic byte region can read as garbage
-        }
-    }
-
-    /// Oversized frames are rejected from the length prefix alone — the
-    /// binary analogue of the JSON 1 MiB line cap: the daemon never
-    /// buffers an attacker-controlled length.
-    #[test]
-    fn oversized_binary_frames_are_rejected(extra in 1usize..1024) {
-        let oversized = (codec_bin::MAX_FRAME_BYTES + extra) as u64;
-        let mut frame = vec![codec_bin::FRAME_MAGIC];
-        let mut v = oversized;
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                frame.push(byte);
-                break;
-            }
-            frame.push(byte | 0x80);
-        }
-        frame.push(codec_bin::kind::SEARCH);
-        prop_assert!(
-            codec_bin::try_extract_frame(&frame).is_err(),
-            "length prefix beyond MAX_FRAME_BYTES must be rejected before buffering"
-        );
-    }
-
-    /// Error frames carry the retry contract losslessly: message,
-    /// retryability, and the retry-after hint survive the round trip, so a
-    /// binary client heals exactly like a JSON one.
-    #[test]
-    fn binary_error_frames_round_trip(
-        message in prop::collection::vec(
-            // Includes JSON-hostile characters (quote, backslash, control,
-            // non-ASCII) — the binary codec carries them without escaping.
-            prop::sample::select(vec!['a', 'Z', '0', ' ', '"', '\\', '\n', 'é', '→']),
-            0..40,
-        ).prop_map(String::from_iter),
-        retryable in any::<bool>(),
-        retry_after in (any::<bool>(), 1u64..60_000).prop_map(|(some, v)| some.then_some(v)),
-    ) {
-        let body = codec_bin::encode_error(&message, retryable, retry_after);
-        let decoded = codec_bin::decode_error(&body).expect("decode error body");
-        prop_assert_eq!(decoded.message, message);
-        prop_assert_eq!(decoded.retryable, retryable);
-        prop_assert_eq!(decoded.retry_after_ms, retry_after);
     }
 }

@@ -9,7 +9,7 @@
 //! * with a seeded shard-kill schedule firing mid-load, **every client
 //!   request eventually succeeds** via failover, and every payload is
 //!   **bit-identical** to the in-process `codec::execute` reference —
-//!   across ≥ 10 seeds and both wire codecs;
+//!   across ≥ 10 seeds;
 //! * the router conservation law holds:
 //!   `routed == forwarded + failovers + shed`;
 //! * a killed shard's keys are served by its ring replicas, and the killed
@@ -240,7 +240,7 @@ fn seeded_shard_kills_recover_through_failover() {
     let mut schedules = HashSet::new();
     let mut total_failovers = 0u64;
 
-    for (ordinal, &seed) in FLEET_SEEDS.iter().enumerate() {
+    for &seed in &FLEET_SEEDS {
         // Replayability: the same seed regenerates the same fleet schedule.
         let script = ShardFaultScript::from_seed(seed, SHARDS);
         assert_eq!(
@@ -263,13 +263,7 @@ fn seeded_shard_kills_recover_through_failover() {
             requests.push(request_primaried_on(&ring, killed));
         }
 
-        // Alternate codecs across seeds: the router must be transparent to
-        // both wire formats.
-        let mut client = if ordinal % 2 == 0 {
-            RetryClient::tcp(router.addr(), test_policy(seed))
-        } else {
-            RetryClient::tcp_binary(router.addr(), test_policy(seed))
-        };
+        let mut client = RetryClient::tcp(router.addr(), test_policy(seed));
 
         // Drive load, consulting the script between requests; after the
         // schedule drains, one more full pass runs against the degraded

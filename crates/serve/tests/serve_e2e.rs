@@ -231,7 +231,7 @@ fn stats_op_exposes_cache_and_probe_counters() {
 }
 
 #[test]
-fn metrics_op_serves_prometheus_text_over_both_codecs() {
+fn metrics_op_serves_prometheus_text() {
     let handle = serve(&ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     // One miss and one hit, so cache, Evaluator, and grammar-coverage
@@ -288,16 +288,16 @@ fn metrics_op_serves_prometheus_text_over_both_codecs() {
         assert!(page.contains(name), "metrics page lost `{name}`");
     }
 
-    // The binary codec serves the same document through its own frame kind.
-    let mut bin = Client::connect_binary(handle.addr()).unwrap();
-    let bin_metrics = bin.metrics().expect("metrics op over binary");
-    let bin_page =
-        bin_metrics.get("prometheus").and_then(|v| v.as_str()).expect("binary metrics page");
+    // A scrape over a second connection serves the same document.
+    let mut other = Client::connect(handle.addr()).unwrap();
+    let other_metrics = other.metrics().expect("metrics op over a second connection");
+    let other_page =
+        other_metrics.get("prometheus").and_then(|v| v.as_str()).expect("second metrics page");
     for name in ["pte_event_loop_wakeups_total", "pte_request_search_us", "pte_cache_hits"] {
-        assert!(bin_page.contains(name), "binary metrics page lost `{name}`");
+        assert!(other_page.contains(name), "second metrics page lost `{name}`");
     }
     assert_eq!(
-        bin_metrics.get("cache").and_then(|c| c.get("conserved")).and_then(|v| v.as_bool()),
+        other_metrics.get("cache").and_then(|c| c.get("conserved")).and_then(|v| v.as_bool()),
         Some(true)
     );
 
@@ -531,76 +531,94 @@ fn byte_level_protocol_robustness() {
     handle.join();
 }
 
+/// Bytes that formed a binary ping frame before the frame codec was
+/// removed — `[0xB1][length 1][kind 0x03]` — followed by a newline. They
+/// are no longer a request, so they are untrusted input like any other.
+const FORMER_BINARY_PING_FRAME: &[u8] = b"\xB1\x01\x03\n";
+
 #[test]
-fn binary_codec_serves_bit_identical_payloads() {
+fn former_binary_frames_get_an_error_line_and_serving_continues() {
+    use std::io::{BufRead, BufReader, Write};
+
+    use pte_serve::router::{route, RouterConfig};
+
     let handle = serve(&ServerConfig { workers: 2, cache_capacity: 64, ..ServerConfig::default() })
         .expect("bind ephemeral port");
-    let addr = handle.addr();
-
+    let router =
+        route(&RouterConfig { shards: vec![handle.addr().to_string()], ..RouterConfig::default() })
+            .expect("bind router port");
     let request = request();
     let expected = direct_in_process_payload(&request);
 
-    let mut client = Client::connect_binary(addr).expect("connect binary");
-    client.ping().expect("binary ping");
-    let cold = client.search(&request).expect("binary cold search");
-    assert!(!cold.cache_hit && !cold.coalesced);
-    assert_eq!(
-        cold.payload_canonical, expected,
-        "binary-served payload diverged from the in-process plan"
-    );
+    // The daemon first (the search is a cold miss), then the router in
+    // front of it (the same search is a hit): each answers the stale frame
+    // with an error line, then serves a JSON search on the same connection.
+    for (tier, addr, hit) in [("daemon", handle.addr(), false), ("router", router.addr(), true)] {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.write_all(FORMER_BINARY_PING_FRAME).expect("send former frame");
+        let mut line = String::new();
+        BufReader::new(stream.try_clone().expect("clone stream"))
+            .read_line(&mut line)
+            .expect("the stale frame must get a reply line");
+        let reply = pte_serve::json::Json::parse(line.trim()).expect("error reply parses");
+        assert_eq!(
+            reply.get("ok").and_then(|v| v.as_bool()),
+            Some(false),
+            "{tier} must reject a former binary frame: {line:?}"
+        );
 
-    let warm = client.search(&request).expect("binary warm search");
-    assert!(warm.cache_hit);
-    assert_eq!(warm.payload_canonical, expected, "binary warm payload diverged");
-    assert_eq!(warm.request_key, cold.request_key);
+        let mut client = Client::from_conn(Box::new(stream));
+        let served = client.search(&request).expect("JSON search after the stale frame");
+        assert_eq!(served.cache_hit, hit, "{tier}: unexpected cache verdict");
+        assert_eq!(
+            served.payload_canonical, expected,
+            "{tier}: payload diverged after a former binary frame"
+        );
+    }
+    assert!(router.state().is_conserved(), "router conservation law violated");
 
-    client.shutdown().expect("binary shutdown ack");
+    router.join();
     handle.join();
 }
 
 #[test]
-fn codecs_share_one_cache_namespace() {
+fn one_cache_entry_per_request_whatever_its_field_order() {
+    use pte_serve::json::Json;
+
     let handle = serve(&ServerConfig { workers: 2, cache_capacity: 64, ..ServerConfig::default() })
         .expect("bind ephemeral port");
     let addr = handle.addr();
     let request = request();
 
-    // Cold over JSON...
-    let mut json_client = Client::connect(addr).expect("connect json");
-    let cold = json_client.search(&request).expect("json cold search");
+    // Cold over one connection...
+    let mut first = Client::connect(addr).expect("connect");
+    let cold = first.search(&request).expect("cold search");
     assert!(!cold.cache_hit);
 
-    // ...is warm over binary: the request key is a content hash of the
-    // canonical bytes, independent of which wire format carried them.
-    let mut bin_client = Client::connect_binary(addr).expect("connect binary");
-    let warm = bin_client.search(&request).expect("binary search of json-cached plan");
-    assert!(warm.cache_hit, "a JSON-cached plan must be a binary cache hit");
-    assert!(!warm.coalesced);
-    assert_eq!(warm.request_key, cold.request_key, "one request, one key, both codecs");
+    // ...is warm over another, even when the request document arrives with
+    // its fields reversed and padded with whitespace: the key is a content
+    // hash of the canonical bytes, not of the bytes on the wire.
+    let Json::Obj(mut fields) = request.to_json() else { panic!("request encodes as an object") };
+    fields.reverse();
+    let shuffled = Json::Obj(fields).write().expect("request has finite floats");
+    let line = format!("{{ \"request\" : {shuffled} , \"op\" : \"search\" }}");
+    let mut second = Client::connect(addr).expect("connect");
+    let reply = Json::parse(&second.round_trip(&line).expect("raw search")).expect("reply parses");
+    assert_eq!(reply.get("cache").and_then(|c| c.get("hit")).and_then(|v| v.as_bool()), Some(true));
     assert_eq!(
-        warm.payload_canonical, cold.payload_canonical,
-        "payload bytes must be identical across codecs"
+        reply.get("request_key").and_then(|v| v.as_str()),
+        Some(cold.request_key.as_str()),
+        "one request, one key"
     );
+    let payload = reply.get("payload").expect("payload").write().expect("payload re-encodes");
+    assert_eq!(payload, cold.payload_canonical, "payload bytes must be identical");
 
-    // And the reverse direction: a binary-cold request is a JSON hit.
-    let mut second = request.clone();
-    second.seed ^= 0x5EED;
-    let bin_cold = bin_client.search(&second).expect("binary cold search");
-    assert!(!bin_cold.cache_hit);
-    let json_warm = json_client.search(&second).expect("json search of binary-cached plan");
-    assert!(json_warm.cache_hit, "a binary-cached plan must be a JSON cache hit");
-    assert_eq!(json_warm.payload_canonical, bin_cold.payload_canonical);
-
-    // One cache entry per request regardless of codec: exactly two misses.
-    let stats = json_client.stats().expect("stats");
+    let stats = first.stats().expect("stats");
     let cache = stats.get("cache").expect("cache stats");
-    assert_eq!(cache.get("misses").and_then(|v| v.as_u64()), Some(2));
-    assert_eq!(cache.get("entries").and_then(|v| v.as_u64()), Some(2));
-    // Both codec counters ticked on this shared daemon.
-    assert!(stats.get("codec_json").and_then(|v| v.as_u64()).unwrap_or(0) >= 2);
-    assert!(stats.get("codec_binary").and_then(|v| v.as_u64()).unwrap_or(0) >= 2);
+    assert_eq!(cache.get("misses").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(cache.get("entries").and_then(|v| v.as_u64()), Some(1));
 
-    json_client.shutdown().expect("shutdown ack");
+    first.shutdown().expect("shutdown ack");
     handle.join();
 }
 
@@ -632,7 +650,7 @@ fn warm_restart_replays_the_plan_log() {
     first.join();
 
     // Incarnation 2 boots from the log: its first-ever request is already
-    // a cache hit, bit-identical — over either codec.
+    // a cache hit, bit-identical — on every connection.
     let second = serve(&ServerConfig {
         workers: 2,
         store_path: Some(store.clone()),
@@ -644,10 +662,10 @@ fn warm_restart_replays_the_plan_log() {
     let warm = json_client.search(&request).expect("warm-start search");
     assert!(warm.cache_hit, "first post-restart request must hit the warm-started cache");
     assert_eq!(warm.payload_canonical, expected, "warm-start payload bytes diverged");
-    let mut bin_client = Client::connect_binary(second.addr()).expect("connect binary");
-    let bin_warm = bin_client.search(&request).expect("binary warm-start search");
-    assert!(bin_warm.cache_hit);
-    assert_eq!(bin_warm.payload_canonical, expected);
+    let mut other_client = Client::connect(second.addr()).expect("connect second client");
+    let other_warm = other_client.search(&request).expect("second warm-start search");
+    assert!(other_warm.cache_hit);
+    assert_eq!(other_warm.payload_canonical, expected);
     // Warm-start hits answer from the replayed entry without re-appending:
     // a crash-restart loop cannot grow the log by itself.
     assert_eq!(second.state().store_appends(), 0);
@@ -659,59 +677,4 @@ fn warm_restart_replays_the_plan_log() {
     json_client.shutdown().expect("shutdown ack");
     second.join();
     let _ = std::fs::remove_file(&store);
-}
-
-/// This process's thread count (`/proc/self/status`); `None` off-Linux,
-/// which skips the flat-thread assertion but not the serving checks.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|v| v.trim().parse().ok())
-}
-
-#[test]
-fn idle_keep_alive_connections_cost_no_threads() {
-    let handle = serve(&ServerConfig { workers: 2, cache_capacity: 64, ..ServerConfig::default() })
-        .expect("bind ephemeral port");
-    let addr = handle.addr();
-
-    // Park a fleet of keep-alive connections, alternating codecs. Under
-    // the event loop each costs a socket and a slot — never a thread.
-    let before = thread_count();
-    let mut parked: Vec<Client> = (0..256)
-        .map(|i| {
-            let mut c = if i % 2 == 0 {
-                Client::connect(addr).expect("connect json")
-            } else {
-                Client::connect_binary(addr).expect("connect binary")
-            };
-            c.ping().expect("parked ping");
-            c
-        })
-        .collect();
-    if let (Some(before), Some(after)) = (before, thread_count()) {
-        assert_eq!(
-            before, after,
-            "256 idle connections must not grow the thread count ({before} -> {after})"
-        );
-    }
-    assert!(
-        handle.state().connections() >= 256,
-        "daemon must report the parked connections: {}",
-        handle.state().connections()
-    );
-
-    // The daemon still serves new work while holding the idle fleet...
-    let request = request();
-    let mut active = Client::connect(addr).expect("connect active");
-    let reply = active.search(&request).expect("search with 256 idle connections parked");
-    assert!(!reply.cache_hit);
-
-    // ...and every parked connection is still alive afterwards.
-    for client in parked.iter_mut() {
-        client.ping().expect("parked connection must survive");
-    }
-
-    drop(parked);
-    active.shutdown().expect("shutdown ack");
-    handle.join();
 }

@@ -112,21 +112,22 @@ fn traced_requests_return_stage_spans_without_perturbing_payloads() {
     let hit_names = span_names(hit.trace.as_ref().expect("traced hit returns a trace"));
     assert_eq!(hit_names.first().map(String::as_str), Some("search"));
 
-    // The binary codec carries the same trace through its flags byte and
-    // reply tail: cold traced request on a fresh key, all four stages.
+    // A second traced connection on a fresh key gets its own cold trace
+    // with all four stages, and the untraced duplicate is a hit carrying
+    // the same bytes.
     let mut fresh = request.clone();
     fresh.seed ^= 0x7ACE;
-    let mut bin = Client::connect_binary(addr).expect("connect binary");
-    bin.set_trace(true);
-    let bin_cold = bin.search(&fresh).expect("binary traced cold search");
-    assert!(!bin_cold.cache_hit);
-    let bin_names = span_names(bin_cold.trace.as_ref().expect("binary trace"));
+    let mut second = Client::connect(addr).expect("connect second traced client");
+    second.set_trace(true);
+    let second_cold = second.search(&fresh).expect("second traced cold search");
+    assert!(!second_cold.cache_hit);
+    let second_names = span_names(second_cold.trace.as_ref().expect("second trace"));
     for stage in STAGES {
-        assert!(bin_names.iter().any(|n| n == stage), "binary trace lost `{stage}`");
+        assert!(second_names.iter().any(|n| n == stage), "second trace lost `{stage}`");
     }
-    let json_warm = plain.search(&fresh).expect("json duplicate of binary-traced search");
-    assert!(json_warm.cache_hit);
-    assert_eq!(json_warm.payload_canonical, bin_cold.payload_canonical);
+    let plain_warm = plain.search(&fresh).expect("untraced duplicate of the second search");
+    assert!(plain_warm.cache_hit);
+    assert_eq!(plain_warm.payload_canonical, second_cold.payload_canonical);
 
     handle.join();
     std::env::remove_var("PTE_THREADS");

@@ -9,8 +9,8 @@
 //!   bottlenecked and depthwise convolution, batch normalisation, ReLU, pooling,
 //!   linear layers and cross-entropy loss.
 //! * [`data`] — synthetic, class-structured datasets standing in for CIFAR-10 and
-//!   ImageNet (see `DESIGN.md` for the substitution rationale). Fisher Potential
-//!   only needs a labelled random minibatch at initialization, which these provide.
+//!   ImageNet. The substitution is sound because Fisher Potential only needs a
+//!   labelled random minibatch at initialization, which these provide.
 //! * [`rng`] — seeded random-number helpers so that every experiment in the
 //!   benchmark harness is reproducible.
 //!

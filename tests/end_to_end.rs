@@ -1,5 +1,6 @@
 //! Cross-crate integration: the full pipeline from network definition
-//! through transformation search to the comparison report.
+//! through transformation search to the comparison report, and the serving
+//! contract on top of it.
 
 use pte::{Optimizer, Platform};
 
@@ -61,4 +62,27 @@ fn search_statistics_are_recorded() {
         "stats must partition the candidate set"
     );
     assert!(s.fisher_rejected > 0, "the legality check must bite");
+}
+
+#[test]
+fn served_plans_are_byte_identical_to_the_in_process_search() {
+    // The serving contract: a plan served over TCP, cold or as a cache hit,
+    // is byte-identical to the plan the same request produces in-process.
+    use pte_serve::{codec, serve, Client, ServerConfig, Strategy};
+
+    let mut request = pte_serve::workload::bench_request(0x7E51);
+    request.strategy = Strategy::Unified;
+    let expected = codec::execute(&request).expect("in-process search");
+
+    let handle = serve(&ServerConfig { workers: 2, ..ServerConfig::default() })
+        .expect("bind ephemeral port");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let cold = client.search(&request).expect("cold search");
+    let hit = client.search(&request).expect("repeat search");
+    assert!(!cold.cache_hit, "the first request must run the search");
+    assert!(hit.cache_hit, "the repeat must be a cache hit");
+    assert_eq!(cold.payload_canonical, expected, "cold payload diverged from in-process");
+    assert_eq!(hit.payload_canonical, expected, "cache-hit payload diverged from in-process");
+    client.shutdown().expect("shutdown ack");
+    handle.join();
 }

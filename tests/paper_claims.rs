@@ -1,5 +1,6 @@
 //! The paper's specific claims, checked mechanically against this
-//! implementation (the per-claim index lives in EXPERIMENTS.md).
+//! implementation: one test per claim, numbered in the order the paper
+//! makes them.
 
 use pte::fisher::proxy::conv_shape_fisher;
 use pte::fisher::FisherLegality;
