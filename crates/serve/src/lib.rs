@@ -9,8 +9,8 @@
 //!   serialized plan payload, with canonical content-hash request keys;
 //! * [`cache`] — sharded, bounded, LRU-ish plan cache with single-flight
 //!   deduplication of concurrent identical requests;
-//! * [`server`] — `TcpListener` + worker-pool daemon speaking line-delimited
-//!   JSON, with graceful shutdown, per-request deadlines, bounded admission
+//! * [`server`] — epoll-driven `TcpListener` + worker-pool daemon speaking
+//!   line-delimited JSON, with graceful shutdown, per-request deadlines, bounded admission
 //!   with load shedding, panic isolation, timing, and `stats` / `metrics`
 //!   observability ops (the latter embeds a Prometheus-style text page fed
 //!   by the process-wide `pte-telemetry` registry); an op-level
@@ -45,6 +45,7 @@
 pub mod cache;
 pub mod client;
 pub mod codec;
+mod epoll;
 pub mod fault;
 pub mod json;
 pub mod retry;

@@ -1,5 +1,5 @@
-//! The std-only TCP search server: a nonblocking event loop in front of a
-//! fixed worker pool.
+//! The std-only TCP search server: a readiness-driven event loop in front
+//! of a fixed worker pool.
 //!
 //! ## Wire format
 //!
@@ -19,18 +19,22 @@
 //!
 //! ## Threading
 //!
-//! One event-loop thread owns the listener and every connection. Sockets
-//! are nonblocking; the loop sweeps them on a configurable poll interval
-//! (readiness polling, the strongest portable primitive std exposes), so an
-//! idle keep-alive connection costs a poll read and zero threads — the
-//! daemon holds thousands of idle connections with the same fixed thread
-//! count it holds one. Complete messages are handed to a fixed worker pool
-//! over a channel; completions flow back over another, which doubles as the
-//! loop's wake-up (a finished search interrupts the poll sleep
-//! immediately). At most one request per connection is in flight at a time
-//! — the loop stops extracting messages from a connection until its reply
-//! is queued — which preserves reply ordering under pipelining without any
-//! reordering machinery.
+//! One event-loop thread owns the listener and every connection, and OS
+//! readiness drives it: the listener, each nonblocking connection and one
+//! eventfd sit in a single epoll set ([`crate::epoll`]), registered once,
+//! edge-triggered. The loop sleeps in `epoll_wait` and touches only the
+//! sockets the kernel reports ready, so an idle keep-alive connection
+//! costs a socket, a slot and no loop work at all — the daemon holds
+//! thousands of idle connections with the same fixed thread count it holds
+//! one. Complete messages are handed to a fixed worker pool over a channel;
+//! completions flow back over another, and the worker writes the eventfd
+//! after each send, so a finished request wakes the loop at once. At most
+//! one request per connection is in flight at a time — the loop stops
+//! reading a connection until its reply is queued, then services it
+//! directly (its bytes may have arrived while it was busy) — which
+//! preserves reply ordering under pipelining without any reordering
+//! machinery. Idle-timeout reaping is the `epoll_wait` timeout: the loop
+//! wakes at the earliest idle deadline, not on a timer.
 //!
 //! ## Failure containment (unchanged contract)
 //!
@@ -61,9 +65,10 @@
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
@@ -72,6 +77,7 @@ use pte_telemetry::{Counter, Gauge, Histogram, Trace};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::codec::{self, ErrorClass, SearchRequest};
+use crate::epoll::{Event, Interest, Poller, Waker};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::json::{fnv1a64, Json};
 use crate::store::PlanStore;
@@ -171,15 +177,10 @@ pub struct ServerConfig {
     /// Plan-cache shard count.
     pub cache_shards: usize,
     /// Connections idle (no completed request) for longer than this are
-    /// closed. Idle connections cost no threads, but each costs a poll
-    /// read per sweep; the timeout bounds how long a silent client keeps
-    /// paying that. Connections with a request in flight are exempt.
+    /// closed. Idle connections cost no threads and no loop work; the
+    /// timeout bounds how long a silent client holds a socket and a slot.
+    /// Connections with a request in flight are exempt.
     pub idle_timeout: Duration,
-    /// The event loop's readiness-poll interval: how long it sleeps when no
-    /// socket had data and no completion arrived. Completions interrupt
-    /// the sleep, so warm-hit latency does not ride on this — only the
-    /// first read of newly-arrived request bytes does.
-    pub poll_interval: Duration,
     /// Maximum non-hit search requests in flight before new ones are shed
     /// with an `overloaded` reply. Cache hits are exempt.
     pub max_pending_searches: usize,
@@ -204,17 +205,6 @@ pub struct ServerConfig {
     pub metrics_path: Option<PathBuf>,
 }
 
-impl ServerConfig {
-    /// The poll interval the event loop actually runs: the configured value
-    /// clamped to a 100µs floor (a zero interval would spin a core). This is
-    /// the single clamp site — `serve` wires this value into the loop *and*
-    /// the stats snapshot, so `--poll-interval-ms 0` can never report `0`
-    /// while polling at 100µs.
-    pub fn effective_poll_interval(&self) -> Duration {
-        self.poll_interval.max(Duration::from_micros(100))
-    }
-}
-
 impl fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServerConfig")
@@ -223,7 +213,6 @@ impl fmt::Debug for ServerConfig {
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_shards", &self.cache_shards)
             .field("idle_timeout", &self.idle_timeout)
-            .field("poll_interval", &self.effective_poll_interval())
             .field("max_pending_searches", &self.max_pending_searches)
             .field("retry_after_ms", &self.retry_after_ms)
             .field("default_deadline_ms", &self.default_deadline_ms)
@@ -243,7 +232,6 @@ impl Default for ServerConfig {
             cache_capacity: 256,
             cache_shards: 8,
             idle_timeout: Duration::from_secs(60),
-            poll_interval: Duration::from_millis(1),
             max_pending_searches: 32,
             retry_after_ms: 200,
             default_deadline_ms: 0,
@@ -280,11 +268,6 @@ pub struct ServerState {
     retry_after_ms: u64,
     default_deadline_ms: u64,
     idle_timeout_ms: u64,
-    poll_interval_ms: u64,
-    /// Exact effective poll interval in microseconds: sub-millisecond
-    /// intervals (including the clamped floor) truncate to `0` in the
-    /// `_ms` field, so stats also expose the lossless value.
-    poll_interval_us: u64,
     /// The append-only plan log (None = persistence disabled).
     store: Option<Arc<PlanStore>>,
     /// Records appended to the plan log this process.
@@ -376,6 +359,7 @@ impl Drop for InflightSlot<'_> {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
+    waker: Arc<Waker>,
     event_loop: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -391,9 +375,11 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Signals shutdown; the event loop notices within one poll interval.
+    /// Signals shutdown and wakes the event loop, which starts draining at
+    /// once.
     pub fn shutdown(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
     }
 
     /// Signals shutdown and joins every thread (graceful: in-flight
@@ -412,7 +398,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
+        self.shutdown();
     }
 }
 
@@ -421,15 +407,23 @@ impl Drop for ServerHandle {
 /// newline-less client could grow the loop's buffer without limit.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// The event loop's per-sweep read chunk.
+/// The event loop's read chunk.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Readiness events taken per `epoll_wait`.
+const EVENT_BATCH: usize = 256;
+
+/// Epoll tokens of the listener and the completion eventfd; a connection's
+/// token is its slot index.
+const LISTENER: u64 = u64::MAX;
+const WAKER: u64 = u64::MAX - 1;
 
 /// Starts the server: opens the plan log (if configured) and replays it
 /// into the cache, binds, spawns the event loop and the worker pool, and
 /// returns immediately.
 ///
 /// # Errors
-/// Propagates bind and plan-log I/O failures.
+/// Propagates bind, epoll and plan-log I/O failures.
 pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     // Register every metric up front: scrapes list all names before any
     // traffic, and no event-loop or worker thread ever takes the
@@ -456,9 +450,10 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    // Clamp the poll interval exactly once, up front: the event loop, the
-    // stats snapshot, and debug output all see this value.
-    let poll_interval = config.effective_poll_interval();
+    let poller = Poller::new()?;
+    let waker = Arc::new(Waker::new()?);
+    poller.add(listener.as_raw_fd(), LISTENER, Interest::Read)?;
+    poller.add(waker.as_raw_fd(), WAKER, Interest::Read)?;
     let state = Arc::new(ServerState {
         cache,
         requests: AtomicU64::new(0),
@@ -475,8 +470,6 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         retry_after_ms: config.retry_after_ms,
         default_deadline_ms: config.default_deadline_ms,
         idle_timeout_ms: saturating_millis(config.idle_timeout),
-        poll_interval_ms: saturating_millis(poll_interval),
-        poll_interval_us: saturating_micros(poll_interval),
         store,
         store_appends: AtomicU64::new(0),
         store_loaded,
@@ -495,8 +488,9 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|_| {
             let job_rx = Arc::clone(&job_rx);
             let completion_tx = completion_tx.clone();
+            let waker = Arc::clone(&waker);
             let state = Arc::clone(&state);
-            std::thread::spawn(move || worker_loop(&job_rx, &completion_tx, &state))
+            std::thread::spawn(move || worker_loop(&job_rx, &completion_tx, &waker, &state))
         })
         .collect();
     drop(completion_tx); // the loop's rx disconnects when the last worker exits
@@ -510,10 +504,13 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 
     let event_loop = {
         let state = Arc::clone(&state);
+        let waker = Arc::clone(&waker);
         let idle_timeout = config.idle_timeout;
         std::thread::spawn(move || {
             EventLoop {
                 listener,
+                poller,
+                waker,
                 state,
                 conns: Vec::new(),
                 free: Vec::new(),
@@ -523,13 +520,13 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
                 job_tx,
                 completion_rx,
                 idle_timeout,
-                poll_interval,
+                next_reap: None,
             }
             .run();
         })
     };
 
-    Ok(ServerHandle { addr, state, event_loop: Some(event_loop), workers })
+    Ok(ServerHandle { addr, state, waker, event_loop: Some(event_loop), workers })
 }
 
 // ---------------------------------------------------------------------------
@@ -570,7 +567,8 @@ struct Connection {
     /// Outbound bytes not yet accepted by the socket.
     out: Vec<u8>,
     /// A request is in flight; no further lines are extracted (and no
-    /// reads are issued) until its reply is queued.
+    /// reads are issued: read readiness is ignored) until its reply is
+    /// queued, when the completion services the connection directly.
     busy: bool,
     epoch: u64,
     /// Idle clock: reset when a reply is queued, like the old per-worker
@@ -582,6 +580,8 @@ struct Connection {
 
 struct EventLoop {
     listener: TcpListener,
+    poller: Poller,
+    waker: Arc<Waker>,
     state: Arc<ServerState>,
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
@@ -593,60 +593,59 @@ struct EventLoop {
     job_tx: Sender<Job>,
     completion_rx: Receiver<Completion>,
     idle_timeout: Duration,
-    poll_interval: Duration,
+    /// No idle connection can expire before this instant (`None`: none can
+    /// expire). It may be early — a connection that replied since moved its
+    /// own deadline on — in which case the reap finds nothing and re-arms.
+    next_reap: Option<Instant>,
 }
 
 impl EventLoop {
     fn run(mut self) {
         let mut scratch = vec![0u8; READ_CHUNK];
+        let mut events = vec![Event::default(); EVENT_BATCH];
+        let mut draining = false;
         loop {
+            let timeout = self.next_reap.map(|at| at.saturating_duration_since(Instant::now()));
+            let ready = self.poller.wait(&mut events, timeout).expect("epoll_wait on a live set");
             // Pre-registered counter/gauge handles only on this thread:
             // recording is a handful of atomic ops, never a lock.
             EL_POLLS.inc();
             let stopping = self.state.stop.load(Ordering::SeqCst);
-            let mut activity = false;
-
-            while let Ok(completion) = self.completion_rx.try_recv() {
-                activity |= self.apply_completion(completion, stopping);
-            }
-            if !stopping {
-                activity |= self.accept_new();
-            }
-            for index in 0..self.conns.len() {
-                let Some(mut conn) = self.conns[index].take() else { continue };
-                if self.sweep_conn(index, &mut conn, stopping, &mut scratch, &mut activity) {
-                    self.conns[index] = Some(conn);
-                } else {
-                    if conn.busy {
-                        // Closed with a request still in flight; its stale
-                        // completion will be discarded by the epoch check.
-                        self.busy = self.busy.saturating_sub(1);
+            for event in &events[..ready] {
+                match event.token() {
+                    LISTENER if !stopping => self.accept_new(),
+                    LISTENER => {}
+                    WAKER => {
+                        self.waker.reset();
+                        EL_WAKEUPS.inc();
                     }
-                    self.release_slot(index);
+                    // An event queued for a connection that closed earlier
+                    // in this batch may land on the slot's next tenant; a
+                    // spurious service only reads `WouldBlock`.
+                    slot => self.service(slot as usize, stopping, &mut scratch),
                 }
+            }
+            while let Ok(completion) = self.completion_rx.try_recv() {
+                self.apply_completion(completion, stopping, &mut scratch);
+            }
+            // Re-read: a `shutdown` op's worker sets the flag before sending
+            // the completion just applied, and its wake may have been
+            // consumed with an earlier one.
+            if !draining && self.state.stop.load(Ordering::SeqCst) {
+                // One pass over every connection when the stop is first
+                // seen: idle ones close now, busy ones after their reply.
+                draining = true;
+                for slot in 0..self.conns.len() {
+                    self.service(slot, true, &mut scratch);
+                }
+            }
+            if self.next_reap.is_some_and(|at| at <= Instant::now()) {
+                self.reap_idle();
             }
             CONNS_BUSY.set(self.busy as i64);
             CONNS_IDLE.set(self.live.saturating_sub(self.busy) as i64);
-            if stopping && self.live == 0 {
+            if draining && self.live == 0 {
                 return; // drops the listener (refusing new connects) and job_tx
-            }
-            if !activity {
-                // The completion channel doubles as the wake-up: a finished
-                // search interrupts the sleep instead of waiting out the
-                // poll interval.
-                match self.completion_rx.recv_timeout(self.poll_interval) {
-                    Ok(completion) => {
-                        EL_WAKEUPS.inc();
-                        let stopping = self.state.stop.load(Ordering::SeqCst);
-                        self.apply_completion(completion, stopping);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Every worker died (cannot happen short of an
-                        // abort); don't spin.
-                        std::thread::sleep(self.poll_interval);
-                    }
-                }
             }
         }
     }
@@ -658,8 +657,35 @@ impl EventLoop {
         self.state.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn accept_new(&mut self) -> bool {
-        let mut accepted = false;
+    /// Moves `next_reap` no later than the idle deadline of a connection
+    /// idle since `since`.
+    fn arm_reap(&mut self, since: Instant) {
+        if let Some(at) = since.checked_add(self.idle_timeout) {
+            self.next_reap = Some(self.next_reap.map_or(at, |next| next.min(at)));
+        }
+    }
+
+    /// Closes every idle connection past its deadline and re-arms
+    /// `next_reap` at the earliest remaining one. Busy connections and
+    /// connections with undelivered output are exempt; they re-arm when
+    /// they next go idle.
+    fn reap_idle(&mut self) {
+        let now = Instant::now();
+        self.next_reap = None;
+        for index in 0..self.conns.len() {
+            let since = match &self.conns[index] {
+                Some(conn) if !conn.busy && conn.out.is_empty() => conn.last_reply,
+                _ => continue,
+            };
+            if since.checked_add(self.idle_timeout).is_some_and(|at| at <= now) {
+                self.release_slot(index);
+            } else {
+                self.arm_reap(since);
+            }
+        }
+    }
+
+    fn accept_new(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -667,42 +693,46 @@ impl EventLoop {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    let slot = self.free.pop().unwrap_or_else(|| {
+                        self.conns.push(None);
+                        self.conns.len() - 1
+                    });
+                    let token = slot as u64;
+                    if self.poller.add(stream.as_raw_fd(), token, Interest::ReadWrite).is_err() {
+                        self.free.push(slot);
+                        continue;
+                    }
                     let epoch = self.next_epoch;
                     self.next_epoch += 1;
-                    let conn = Connection {
+                    let now = Instant::now();
+                    self.conns[slot] = Some(Connection {
                         stream,
                         buf: Vec::new(),
                         out: Vec::new(),
                         busy: false,
                         epoch,
-                        last_reply: Instant::now(),
+                        last_reply: now,
                         close_after_flush: false,
-                    };
-                    let slot = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
                     });
-                    self.conns[slot] = Some(conn);
                     self.live += 1;
                     self.state.connections.fetch_add(1, Ordering::Relaxed);
-                    accepted = true;
+                    self.arm_reap(now);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        accepted
     }
 
     /// Routes one finished job to its connection. Stale completions (the
     /// connection closed; the slot is empty or reused) are discarded — the
     /// worker's side effects (cache publish, counters) already happened and
     /// remain valid.
-    fn apply_completion(&mut self, completion: Completion, stopping: bool) -> bool {
+    fn apply_completion(&mut self, completion: Completion, stopping: bool, scratch: &mut [u8]) {
         let current = match self.conns.get_mut(completion.slot) {
             Some(Some(conn)) if conn.epoch == completion.epoch => conn,
-            _ => return false,
+            _ => return,
         };
         match completion.outcome {
             Outcome::Reply(bytes) => {
@@ -715,40 +745,60 @@ impl EventLoop {
                     // connection closes instead of taking more requests.
                     current.close_after_flush = true;
                 }
+                // Write the reply now, and read what arrived while the
+                // connection was busy: its read edge has already passed.
+                self.service(completion.slot, stopping, scratch);
             }
             Outcome::Silent => {
                 self.busy = self.busy.saturating_sub(1);
                 self.release_slot(completion.slot);
             }
         }
-        true
     }
 
-    /// One readiness pass over a connection: flush, read, extract,
-    /// dispatch, then apply idle/drain policy. Returns false to close.
-    fn sweep_conn(
+    /// Services one connection (see [`EventLoop::service_conn`]) and
+    /// closes it if asked to.
+    fn service(&mut self, index: usize, stopping: bool, scratch: &mut [u8]) {
+        let Some(mut conn) = self.conns.get_mut(index).and_then(Option::take) else { return };
+        if self.service_conn(index, &mut conn, stopping, scratch) {
+            if !conn.busy && conn.out.is_empty() {
+                self.arm_reap(conn.last_reply);
+            }
+            self.conns[index] = Some(conn);
+        } else {
+            if conn.busy {
+                // Closed with a request still in flight; its stale
+                // completion will be discarded by the epoch check.
+                self.busy = self.busy.saturating_sub(1);
+            }
+            self.release_slot(index);
+        }
+    }
+
+    /// Flush, read, extract, dispatch, then apply the drain policy.
+    /// Returns false to close.
+    fn service_conn(
         &mut self,
         index: usize,
         conn: &mut Connection,
         stopping: bool,
         scratch: &mut [u8],
-        activity: &mut bool,
     ) -> bool {
-        if !flush_out(conn, activity) {
+        if !flush_out(conn) {
             return false;
         }
         if conn.close_after_flush {
             return !conn.out.is_empty(); // keep only while undelivered bytes remain
         }
         if !conn.busy {
-            match self.pump(index, conn, scratch, activity) {
+            match self.pump(index, conn, scratch) {
                 Pump::Keep => {}
                 Pump::Close => return false,
             }
             // An error queued during extraction may have requested a close;
-            // push the bytes out before the next sweep's close check.
+            // push the bytes out now.
             if conn.close_after_flush {
-                if !flush_out(conn, activity) {
+                if !flush_out(conn) {
                     return false;
                 }
                 return !conn.out.is_empty();
@@ -759,36 +809,21 @@ impl EventLoop {
                 return false;
             }
             conn.close_after_flush = true;
-            return true;
-        }
-        if !conn.busy && conn.out.is_empty() && conn.last_reply.elapsed() > self.idle_timeout {
-            return false;
         }
         true
     }
 
-    /// Reads whatever the socket has, then extracts and dispatches at most
-    /// one message (one in flight per connection).
-    fn pump(
-        &mut self,
-        index: usize,
-        conn: &mut Connection,
-        scratch: &mut [u8],
-        activity: &mut bool,
-    ) -> Pump {
+    /// Reads until the socket would block (edge-triggered readiness only
+    /// reports new bytes), then extracts and dispatches at most one message
+    /// (one in flight per connection).
+    fn pump(&mut self, index: usize, conn: &mut Connection, scratch: &mut [u8]) -> Pump {
         loop {
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     // Client closed; any partial message is dropped.
                     return Pump::Close;
                 }
-                Ok(n) => {
-                    conn.buf.extend_from_slice(&scratch[..n]);
-                    *activity = true;
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
+                Ok(n) => conn.buf.extend_from_slice(&scratch[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return Pump::Close,
@@ -832,15 +867,15 @@ enum Pump {
     Close,
 }
 
-/// Nonblocking write of a connection's queued output. Returns false on a
-/// dead socket.
-fn flush_out(conn: &mut Connection, activity: &mut bool) -> bool {
+/// Nonblocking write of a connection's queued output; a write that stops
+/// at `WouldBlock` resumes on the socket's next write-readiness edge.
+/// Returns false on a dead socket.
+fn flush_out(conn: &mut Connection) -> bool {
     while !conn.out.is_empty() {
         match conn.stream.write(&conn.out) {
             Ok(0) => return false,
             Ok(n) => {
                 conn.out.drain(..n);
-                *activity = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -857,6 +892,7 @@ fn flush_out(conn: &mut Connection, activity: &mut bool) -> bool {
 fn worker_loop(
     jobs: &Arc<Mutex<Receiver<Job>>>,
     completions: &Sender<Completion>,
+    waker: &Waker,
     state: &Arc<ServerState>,
 ) {
     loop {
@@ -869,6 +905,7 @@ fn worker_loop(
         if completions.send(Completion { slot: job.slot, epoch: job.epoch, outcome }).is_err() {
             return;
         }
+        waker.wake();
     }
 }
 
@@ -1210,11 +1247,6 @@ fn saturating_millis(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Saturating `Duration` → whole microseconds (same rationale).
-fn saturating_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
 /// A `u64` counter as a JSON integer, saturating at `i64::MAX` instead of
 /// wrapping negative.
 fn json_count(v: u64) -> Json {
@@ -1242,8 +1274,6 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
         ("inflight", json_count(state.inflight.load(Ordering::SeqCst))),
         ("connections", json_count(state.connections.load(Ordering::Relaxed))),
         ("idle_timeout_ms", json_count(state.idle_timeout_ms)),
-        ("poll_interval_ms", json_count(state.poll_interval_ms)),
-        ("poll_interval_us", json_count(state.poll_interval_us)),
         ("uptime_ms", Json::Float(state.started.elapsed().as_secs_f64() * 1e3)),
         (
             "store",
@@ -1419,23 +1449,13 @@ mod tests {
     fn saturating_conversions_pin_the_boundary() {
         // In range: exact.
         assert_eq!(saturating_millis(Duration::from_millis(1500)), 1500);
-        assert_eq!(saturating_micros(Duration::from_micros(100)), 100);
         assert_eq!(json_count(7), Json::Int(7));
 
         // Out of range: saturate, never wrap.
         assert_eq!(saturating_millis(Duration::MAX), u64::MAX);
-        assert_eq!(saturating_micros(Duration::MAX), u64::MAX);
         assert_eq!(json_count(u64::MAX), Json::Int(i64::MAX));
         assert_eq!(json_count(i64::MAX as u64 + 1), Json::Int(i64::MAX));
         // The largest value that still converts exactly.
         assert_eq!(json_count(i64::MAX as u64), Json::Int(i64::MAX));
-    }
-
-    #[test]
-    fn effective_poll_interval_clamps_zero_but_not_real_values() {
-        let mut config = ServerConfig { poll_interval: Duration::ZERO, ..ServerConfig::default() };
-        assert_eq!(config.effective_poll_interval(), Duration::from_micros(100));
-        config.poll_interval = Duration::from_millis(5);
-        assert_eq!(config.effective_poll_interval(), Duration::from_millis(5));
     }
 }

@@ -227,6 +227,11 @@ fn stats_op_exposes_cache_and_probe_counters() {
         probe_lookups(&stats)
     );
     assert!(stats.get("requests").and_then(|v| v.as_u64()).unwrap_or(0) >= 2);
+    assert_eq!(
+        stats.get("idle_timeout_ms").and_then(|v| v.as_u64()),
+        Some(60_000),
+        "stats must report the configured idle timeout"
+    );
     handle.join();
 }
 
@@ -308,36 +313,6 @@ fn metrics_op_serves_prometheus_text() {
         Some(true),
         "stats op must expose the cache conservation law"
     );
-    handle.join();
-}
-
-#[test]
-fn stats_report_the_clamped_poll_interval() {
-    // Regression: `--poll-interval-ms 0` used to report `poll_interval_ms: 0`
-    // while the event loop actually polled at the clamped 100µs floor. The
-    // clamp now happens once up front, and stats expose the effective value
-    // (lossless in `poll_interval_us`, since sub-ms floors truncate to 0 ms).
-    let handle = serve(&ServerConfig {
-        poll_interval: std::time::Duration::ZERO,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("poll_interval_us").and_then(|v| v.as_u64()), Some(100));
-    assert_eq!(stats.get("poll_interval_ms").and_then(|v| v.as_u64()), Some(0));
-    handle.join();
-
-    // A real (above-floor) interval passes through unchanged.
-    let handle = serve(&ServerConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("poll_interval_us").and_then(|v| v.as_u64()), Some(2000));
-    assert_eq!(stats.get("poll_interval_ms").and_then(|v| v.as_u64()), Some(2));
     handle.join();
 }
 
@@ -427,6 +402,23 @@ fn shutdown_drains_in_flight_requests() {
 }
 
 #[test]
+fn an_idle_daemon_joins_at_once() {
+    // Shutdown through the handle wakes the event loop: an idle daemon
+    // holding a parked keep-alive connection drains without waiting for
+    // any timer.
+    let handle = serve(&ServerConfig::default()).expect("bind ephemeral port");
+    let mut parked = Client::connect(handle.addr()).expect("connect");
+    parked.ping().expect("parked ping");
+    std::thread::sleep(std::time::Duration::from_millis(50));
+
+    let started = std::time::Instant::now();
+    handle.join();
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_millis(100), "join took {took:?}");
+    assert!(parked.ping().is_err(), "the drain must close the parked connection");
+}
+
+#[test]
 fn truncated_reply_surfaces_as_io_never_a_parse_error() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
@@ -485,8 +477,9 @@ fn byte_level_protocol_robustness() {
     let addr = handle.addr();
 
     // A request split into arbitrary byte chunks (including mid-UTF-8,
-    // slower than the 100ms poll interval) must still parse: the server
-    // accumulates raw bytes to the newline before validating UTF-8.
+    // with a pause between them, so each half is its own read edge) must
+    // still parse: the server accumulates raw bytes to the newline before
+    // validating UTF-8.
     {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         let line = "{\"op\":\"ping\"}\n".as_bytes();

@@ -86,3 +86,29 @@ fn served_plans_are_byte_identical_to_the_in_process_search() {
     client.shutdown().expect("shutdown ack");
     handle.join();
 }
+
+#[test]
+fn parallel_and_serial_unified_searches_are_byte_identical() {
+    // The determinism contract's parallel face: the pooled search and the
+    // single-threaded one serialize to the same plan bytes.
+    use pte::search::unified::{self, SearchOutcome};
+    use pte_serve::codec::PlanPayload;
+
+    let request = pte_serve::workload::bench_request(0x5E41);
+    let network = request.network.resolve().expect("resolve network");
+    let platform = request.platform.resolve();
+    let options = request.unified_options();
+    let bytes = |outcome: SearchOutcome| {
+        PlanPayload::from_plan(&request, &outcome.plan, &outcome.stats, outcome.original_fisher)
+            .encode()
+            .expect("encode payload")
+    };
+    // Each run probes afresh: a memo warmed by the first would hand the
+    // second its Fisher scores. Clearing is safe beside other tests here;
+    // the memo only saves work, it never changes a score.
+    pte::fisher::proxy::clear_probe_cache();
+    let parallel = bytes(unified::optimize(&network, &platform, &options));
+    pte::fisher::proxy::clear_probe_cache();
+    let serial = bytes(unified::optimize_serial(&network, &platform, &options));
+    assert_eq!(parallel, serial, "parallel and serial unified plans diverged");
+}
