@@ -18,8 +18,9 @@ use pte_tensor::ops::gemm::{gemm_nn_batch, GemmNnTask};
 use pte_tensor::ops::im2col::{col_dims, im2col_batch};
 use pte_tensor::ops::{
     batch_norm2d, batch_norm2d_backward, batch_norm2d_backward_batch, batch_norm2d_batch, conv2d,
-    cross_entropy, cross_entropy_batch, linear, linear_backward, linear_batch,
-    linear_d_input_batch, relu, relu_backward, relu_backward_in_place, uses_gemm_path, Conv2dSpec,
+    conv2d_direct_lowered, cross_entropy, cross_entropy_batch, linear, linear_backward,
+    linear_batch, linear_d_input_batch, relu, relu_backward, relu_backward_in_place,
+    uses_gemm_path, Conv2dSpec,
 };
 use pte_tensor::rng::{derive_seed, fill_normal, seeded};
 use pte_tensor::Tensor;
@@ -34,6 +35,9 @@ static MEMO_LOOKUP_US: std::sync::LazyLock<pte_telemetry::Histogram> =
     std::sync::LazyLock::new(|| pte_telemetry::global().histogram("pte_probe_memo_lookup_us"));
 static WAVE_SIZE: std::sync::LazyLock<pte_telemetry::Histogram> =
     std::sync::LazyLock::new(|| pte_telemetry::global().histogram("pte_probe_wave_size"));
+/// Wave members whose probe convolution ran on the direct kernel.
+static DIRECT_MEMBERS: std::sync::LazyLock<pte_telemetry::Counter> =
+    std::sync::LazyLock::new(|| pte_telemetry::global().counter("pte_probe_direct_members_total"));
 
 fn memo_hit_hist() -> &'static pte_telemetry::Histogram {
     &MEMO_HIT_US
@@ -45,6 +49,7 @@ pub fn init_metrics() {
     std::sync::LazyLock::force(&MEMO_HIT_US);
     std::sync::LazyLock::force(&MEMO_LOOKUP_US);
     std::sync::LazyLock::force(&WAVE_SIZE);
+    std::sync::LazyLock::force(&DIRECT_MEMBERS);
 }
 
 use crate::score::{layer_delta, layer_delta_nchw};
@@ -60,6 +65,10 @@ pub const PROXY_CHANNEL_CAP: usize = 64;
 pub const PROXY_CLASSES: usize = 10;
 /// Fixed standard deviation of the probe's readout weights.
 const READOUT_STD: f32 = 0.05;
+/// Most activation elements one stacked tail wave holds (512 KiB of `f32`,
+/// four full-width 64-channel members): bigger tail classes split, so a
+/// wave's few stack-sized buffers stay small whatever the class size.
+const TAIL_WAVE_BUDGET: usize = 1 << 17;
 
 /// Scales a channel count down to the proxy cap while preserving
 /// divisibility by `groups`.
@@ -378,10 +387,10 @@ fn probe_once(
 
 /// Everything after the probe convolution: spatial truncation, BN, ReLU,
 /// readout, loss, and the backward pass to the activation. This is the
-/// **reference tail**: the per-candidate path ([`probe_once`]) and the
-/// batched scheduler's non-GEMM fallback run it verbatim, and the class-wide
-/// stacked tail ([`tail_wave`]) must reproduce it bit for bit member by
-/// member (each batched op pins that contract in `pte-tensor`).
+/// **reference tail**: the per-candidate path ([`probe_once`]) runs it
+/// verbatim, and the class-wide stacked tail ([`tail_wave`]) must reproduce
+/// it bit for bit member by member (each batched op pins that contract in
+/// `pte-tensor`).
 fn probe_tail(
     shape: &ConvShape,
     spec: &Conv2dSpec,
@@ -580,14 +589,18 @@ struct WaveMember {
 /// the memo-aware wrapper.
 ///
 /// Per class, the minibatch is built once and lowered once
-/// ([`im2col_batch`]); every member × repeat × group convolution then runs
-/// as one wide multi-image GEMM against the shared patch matrix
-/// ([`gemm_nn_batch`]), which amortises the lowering that the per-candidate
-/// path re-does `PROXY_BATCH × PROBE_REPEATS` times per candidate and raises
-/// the GEMMs' arithmetic intensity 8×. On the packed micro-kernel path the
-/// batch executor additionally packs each class's shared patch-matrix band
-/// once per wave (tasks are grouped by `B` operand identity), so every
-/// member × repeat product runs against one pre-packed panel.
+/// ([`im2col_batch`]); every member × repeat convolution then reads the
+/// shared patch matrix, which amortises the lowering that the per-candidate
+/// path re-does `PROBE_REPEATS` times per candidate. The class runs its
+/// repeats one after another. Per repeat, members whose probe `conv2d`
+/// would dispatch to GEMM run as one wide multi-image GEMM wave
+/// ([`gemm_nn_batch`]); on the packed micro-kernel path the batch executor
+/// packs each shared patch-matrix band once per wave (tasks are grouped by
+/// `B` operand identity). Every other member (depthwise-style grouping,
+/// tiny widths) runs on the direct kernel ([`conv2d_direct_lowered`], the
+/// kernel the per-candidate `conv2d` dispatches those problems to) just
+/// before its tail wave, so those products never pile up —
+/// `pte_probe_direct_members_total` counts them.
 ///
 /// The probe **tail** is batched too: members stack by post-truncation
 /// geometry into [`TailClass`]es, and each class × repeat runs one
@@ -595,10 +608,8 @@ struct WaveMember {
 /// the repeat's shared head, one `cross_entropy_batch`, and one batched
 /// backward ([`tail_wave`]). All weight and readout randomness is hoisted
 /// into pooled per-class Box–Muller streams whose prefixes reproduce the
-/// exact per-member draws (`fill_normal` prefix stability). Members whose
-/// probe `conv2d` would not dispatch to the GEMM path (depthwise-style
-/// grouping, degenerate widths) fall back to the per-candidate kernel, so
-/// every score stays **bit-identical** to
+/// exact per-member draws (`fill_normal` prefix stability). Every member
+/// takes this one path, and every score stays **bit-identical** to
 /// [`conv_shape_fisher_unmemoised`].
 pub fn probe_wave(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
     let mut out = vec![0.0f64; shapes.len()];
@@ -626,192 +637,165 @@ pub fn probe_wave(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
     out
 }
 
-/// Executes one shape class: shared minibatch, one batched lowering, one
-/// GEMM wave, then class-wide stacked tail waves (one per tail geometry ×
-/// repeat) with every RNG draw hoisted into pooled per-class streams.
+/// Executes one shape class: shared minibatch and one batched lowering,
+/// then per repeat the GEMM-eligible members' products as one GEMM wave and,
+/// per tail class, the other members' products through the direct kernel
+/// and one stacked tail wave, with every RNG draw hoisted into pooled
+/// per-class streams.
 fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
     let seed = members[0].seed;
-    let c_in = members[0].spec.c_in;
+    // Members share (c_in, kernel, stride, padding) — the class key — and
+    // hence the minibatch and the patch matrix; groups and c_out vary.
+    let geometry = members[0].spec;
     let (h, w) = (PROXY_RESOLUTION, PROXY_RESOLUTION);
-    let Ok(dataset) = SyntheticDataset::custom(PROXY_CLASSES, c_in, PROXY_RESOLUTION, seed) else {
+    let Ok(dataset) =
+        SyntheticDataset::custom(PROXY_CLASSES, geometry.c_in, PROXY_RESOLUTION, seed)
+    else {
         return members.iter().map(|m| (m.idx, 0.0)).collect();
     };
     let batch = dataset.minibatch(PROXY_BATCH, derive_seed(seed, 1));
 
-    let mut scored = Vec::with_capacity(members.len());
-    let (gemm_members, fallback): (Vec<&WaveMember>, Vec<&WaveMember>) =
-        members.iter().partition(|m| uses_gemm_path(&m.spec, PROXY_BATCH, h, w));
-
-    // Members the conv2d dispatcher would run naively (tiny widths,
-    // depthwise-style grouping) probe exactly like the per-candidate path,
-    // sharing only the minibatch.
-    for m in fallback {
-        let score =
-            (0..PROBE_REPEATS).map(|r| probe_once(&m.shape, &m.spec, &batch, seed, r)).sum::<f64>()
-                / PROBE_REPEATS as f64;
-        scored.push((m.idx, score));
-    }
-    if gemm_members.is_empty() {
-        return scored;
-    }
-
-    // One lowering for the whole class: the wide patch matrix every GEMM
-    // below multiplies against.
-    let (col_rows, cols) = col_dims(&gemm_members[0].spec, h, w);
+    // One lowering for the whole class: the wide patch matrix every
+    // member's convolution below reads (a group is a row band of it).
+    let (col_rows, cols) = col_dims(&geometry, h, w);
     let batch_cols = PROXY_BATCH * cols;
     let mut col = vec![0.0f32; col_rows * batch_cols];
-    im2col_batch(batch.images.as_slice(), &gemm_members[0].spec, h, w, PROXY_BATCH, &mut col);
+    im2col_batch(batch.images.as_slice(), &geometry, h, w, PROXY_BATCH, &mut col);
 
-    // Draw every member × repeat weight set from **pooled** Box–Muller
-    // streams: the Kaiming derivation seed `derive_seed(seed, 2 + r·7919)`
-    // does not involve the member, so all members of a class share one
-    // normal stream per repeat and differ only in draw length and Kaiming
-    // scale. `fill_normal` streams are bitwise prefix-stable (see its docs),
-    // so slicing one pooled draw and applying each member's own
-    // `√(2/fan_in)` reproduces `Tensor::kaiming`'s exact tensor — the
-    // per-member `ln`/`sqrt`/`sin_cos` work collapses to once per class ×
-    // repeat. The products below then run as one GEMM wave against the
-    // shared patch matrix.
-    let max_w_len =
-        gemm_members.iter().map(|m| m.spec.weight_dims().iter().product()).max().unwrap_or(0);
-    let weight_pools: Vec<Vec<f32>> = (0..PROBE_REPEATS)
-        .map(|r| normal_pool(derive_seed(seed, 2 + r * 7919), max_w_len))
-        .collect();
-    let weights: Vec<Vec<Tensor>> = gemm_members
-        .iter()
-        .map(|m| {
-            let dims = m.spec.weight_dims();
-            let len: usize = dims.iter().product();
-            let fan_in: usize = dims.iter().skip(1).product::<usize>().max(1);
-            let std = (2.0 / fan_in as f32).sqrt();
-            weight_pools
-                .iter()
-                .map(|pool| {
-                    let data: Vec<f32> = pool[..len].iter().map(|v| v * std).collect();
-                    Tensor::from_vec(&dims, data).expect("pooled weight shape")
-                })
-                .collect()
-        })
-        .collect();
-    let metas: Vec<(usize, usize)> = (0..gemm_members.len())
-        .flat_map(|mi| (0..PROBE_REPEATS as usize).map(move |r| (mi, r)))
-        .collect();
-    let mut scratches: Vec<Vec<f32>> = metas
-        .iter()
-        .map(|&(mi, _)| vec![0.0f32; gemm_members[mi].spec.c_out * batch_cols])
-        .collect();
-    let mut tasks = Vec::new();
-    for (&(mi, r), scratch) in metas.iter().zip(scratches.iter_mut()) {
-        let spec = &gemm_members[mi].spec;
-        let cog = spec.c_out_per_group();
-        let group_rows = spec.c_in_per_group() * spec.kernel * spec.kernel;
-        let wt = weights[mi][r].as_slice();
-        for (g, c_chunk) in scratch.chunks_mut(cog * batch_cols).enumerate() {
-            tasks.push(GemmNnTask {
-                m: cog,
-                k: group_rows,
-                n: batch_cols,
-                a: &wt[g * cog * group_rows..],
-                b: &col[g * group_rows * batch_cols..],
-                c: c_chunk,
-            });
-        }
-    }
-    gemm_nn_batch(tasks);
-
-    // ---- class-wide tail waves ----
+    // ---- tail classes ----
     //
-    // Everything after the convolution used to run once per member × repeat;
-    // now it runs as stacked waves. Members of a class share (c_in, kernel,
-    // stride, padding) and hence the conv output geometry, but spatial
-    // bottlenecking and output width still differ per member, so units stack
-    // by **tail class** — the post-truncation geometry `(c_out, th, tw)`.
-    // Every member × repeat unit of a tail class is shape-homogeneous and
-    // shares the repeat's readout weight (its derivation seed involves only
-    // the class seed and the repeat; the tail class fixes the draw length,
-    // `classes × features`), so the whole tail
+    // Members of a class share the conv output geometry, but spatial
+    // bottlenecking and output width still differ per member, so units
+    // stack by **tail class** — the post-truncation geometry
+    // `(c_out, th, tw)`. Every member × repeat unit of a tail class is
+    // shape-homogeneous and shares the repeat's readout weight (its
+    // derivation seed involves only the class seed and the repeat; the tail
+    // class fixes the draw length, `classes × features`), so the whole tail
     // collapses to one BN pass, one fused ReLU, one wide readout GEMM, one
     // batched cross-entropy and one batched backward per tail class × repeat.
-    let (oh, ow) = gemm_members[0].spec.output_hw(h, w);
+    // A tail class that would stack more than `TAIL_WAVE_BUDGET` elements
+    // splits into several, which bounds every wave's buffers; every batched
+    // op is per-unit, so the split changes no bit.
+    let (oh, ow) = geometry.output_hw(h, w);
     let mut tail_ix: HashMap<(usize, usize, usize), usize> = HashMap::new();
     let mut tails: Vec<TailClass> = Vec::new();
-    for (mi, m) in gemm_members.iter().enumerate() {
+    for (mi, m) in members.iter().enumerate() {
         let th = (oh as i64 / m.shape.sb_h).max(1) as usize;
         let tw = (ow as i64 / m.shape.sb_w).max(1) as usize;
         let key = (m.spec.c_out, th, tw);
-        let slot = *tail_ix.entry(key).or_insert_with(|| {
+        let open = tail_ix.get(&key).copied().filter(|&slot| {
+            (tails[slot].members.len() + 1) * PROXY_BATCH * tails[slot].features()
+                <= TAIL_WAVE_BUDGET
+        });
+        let slot = open.unwrap_or_else(|| {
             tails.push(TailClass { c_out: m.spec.c_out, th, tw, members: Vec::new() });
+            tail_ix.insert(key, tails.len() - 1);
             tails.len() - 1
         });
         tails[slot].members.push(mi);
     }
 
-    // Hoist the readout draws the same way as the weights: one pooled
-    // stream per repeat covers every tail class's `classes × features` head
-    // as a prefix (streams are shared even across *different* feature
-    // counts — prefix stability again).
+    // Members `conv2d` would send to GEMM run as one wave per repeat
+    // against the shared patch matrix; the rest (depthwise-style grouping,
+    // tiny widths) run through the direct kernel just before their tail
+    // wave. Either way a member's product lives from its conv to its tail
+    // wave, and one repeat at a time.
+    let on_gemm: Vec<bool> =
+        members.iter().map(|m| uses_gemm_path(&m.spec, PROXY_BATCH, h, w)).collect();
+    let max_w_len = members.iter().map(|m| m.spec.params() as usize).max().unwrap_or(0);
     let max_r_len = tails.iter().map(|t| PROXY_CLASSES * t.features()).max().unwrap_or(0);
-    let readout_pools: Vec<Vec<f32>> = (0..PROBE_REPEATS)
-        .map(|r| normal_pool(derive_seed(seed, 3 + r * 104_729), max_r_len))
-        .collect();
 
     // Scores assemble per member as `Σ_r Δ_{m,r}·mix / R` in ascending `r` —
-    // the exact f64 chain the per-candidate caller sums. A tail-wave error
-    // (impossible for validated probe geometry, but the per-candidate path
-    // degrades to 0.0 rather than panicking, so this path must too) falls
-    // back to the per-member reference tail below.
-    let mut totals = vec![0.0f64; gemm_members.len()];
-    let mut waves_ok = true;
-    'tails: for tail in &tails {
-        for (r, pool) in readout_pools.iter().enumerate() {
-            let wave = tail_wave(tail, &scratches, r, pool, &batch.labels, (cols, batch_cols, ow));
-            match wave {
-                Ok(deltas) => {
-                    for (ui, &mi) in tail.members.iter().enumerate() {
-                        totals[mi] += deltas[ui] * mixing_factor(&gemm_members[mi].shape);
+    // the exact f64 chain the per-candidate caller sums.
+    let mut totals = vec![0.0f64; members.len()];
+    for r in 0..PROBE_REPEATS {
+        // Draw every member's weights from one **pooled** Box–Muller
+        // stream: the Kaiming derivation seed `derive_seed(seed, 2 + r·7919)`
+        // does not involve the member, so all members of a class share one
+        // normal stream per repeat and differ only in draw length and
+        // Kaiming scale. `fill_normal` streams are bitwise prefix-stable (see
+        // its docs), so slicing the pooled draw and applying each member's
+        // own `√(2/fan_in)` reproduces `Tensor::kaiming`'s exact tensor — the
+        // per-member `ln`/`sqrt`/`sin_cos` work collapses to once per class ×
+        // repeat. The readout heads are hoisted the same way: one pooled
+        // stream covers every tail class's `classes × features` head as a
+        // prefix (shared even across *different* feature counts).
+        let weight_pool = normal_pool(derive_seed(seed, 2 + r * 7919), max_w_len);
+        let readout_pool = normal_pool(derive_seed(seed, 3 + r * 104_729), max_r_len);
+        let kaiming = |m: &WaveMember| -> Vec<f32> {
+            let dims = m.spec.weight_dims();
+            let len: usize = dims.iter().product();
+            let fan_in: usize = dims.iter().skip(1).product::<usize>().max(1);
+            let std = (2.0 / fan_in as f32).sqrt();
+            weight_pool[..len].iter().map(|v| v * std).collect()
+        };
+
+        // The repeat's GEMM wave: `scratches[mi]` is member `mi`'s
+        // `[c_out, n·cols]` product.
+        let weights: Vec<Vec<f32>> = members
+            .iter()
+            .zip(&on_gemm)
+            .map(|(m, &gemm)| if gemm { kaiming(m) } else { Vec::new() })
+            .collect();
+        let mut scratches: Vec<Vec<f32>> = members
+            .iter()
+            .zip(&on_gemm)
+            .map(|(m, &gemm)| vec![0.0f32; if gemm { m.spec.c_out * batch_cols } else { 0 }])
+            .collect();
+        let mut tasks = Vec::new();
+        // A direct member's empty scratch yields no task.
+        for ((m, wt), scratch) in members.iter().zip(&weights).zip(scratches.iter_mut()) {
+            let cog = m.spec.c_out_per_group();
+            let group_rows = m.spec.c_in_per_group() * m.spec.kernel * m.spec.kernel;
+            for (g, c_chunk) in scratch.chunks_mut(cog * batch_cols).enumerate() {
+                tasks.push(GemmNnTask {
+                    m: cog,
+                    k: group_rows,
+                    n: batch_cols,
+                    a: &wt[g * cog * group_rows..],
+                    b: &col[g * group_rows * batch_cols..],
+                    c: c_chunk,
+                });
+            }
+        }
+        gemm_nn_batch(tasks);
+        drop(weights);
+
+        for tail in &tails {
+            // The wave frees every product once it has read it.
+            let units = tail
+                .members
+                .iter()
+                .map(|&mi| {
+                    if on_gemm[mi] {
+                        return std::mem::take(&mut scratches[mi]);
                     }
-                }
-                Err(_) => {
-                    waves_ok = false;
-                    break 'tails;
-                }
+                    let spec = &members[mi].spec;
+                    let mut out = vec![0.0f32; spec.c_out * batch_cols];
+                    conv2d_direct_lowered(spec, &kaiming(&members[mi]), &col, batch_cols, &mut out);
+                    out
+                })
+                .collect();
+            let wave = tail_wave(tail, units, &readout_pool, &batch.labels, (cols, batch_cols, ow));
+            // A tail-wave error is impossible for validated probe geometry,
+            // but the per-candidate path degrades to 0.0 rather than
+            // panicking, so this path must too: on error each member reruns
+            // as the per-candidate probe, which is bit-identical.
+            for (ui, &mi) in tail.members.iter().enumerate() {
+                let m = &members[mi];
+                totals[mi] += match &wave {
+                    Ok(deltas) => deltas[ui] * mixing_factor(&m.shape),
+                    Err(_) => probe_once(&m.shape, &m.spec, &batch, seed, r),
+                };
             }
         }
     }
-
-    if waves_ok {
-        for (mi, m) in gemm_members.iter().enumerate() {
-            scored.push((m.idx, totals[mi] / PROBE_REPEATS as f64));
-        }
-        return scored;
-    }
-
-    // Reference fallback: scatter each product back to NCHW ([`conv2d`]'s
-    // output layout) and run the per-member probe tail, exactly as the
-    // pre-tail-wave scheduler did.
-    for (mi, m) in gemm_members.iter().enumerate() {
-        let c_out = m.spec.c_out;
-        let mut total = 0.0f64;
-        for r in 0..PROBE_REPEATS as usize {
-            let scratch = &scratches[mi * PROBE_REPEATS as usize + r];
-            let mut data = vec![0.0f32; PROXY_BATCH * c_out * cols];
-            for im in 0..PROXY_BATCH {
-                for co in 0..c_out {
-                    let src = &scratch[co * batch_cols + im * cols..][..cols];
-                    data[(im * c_out + co) * cols..][..cols].copy_from_slice(src);
-                }
-            }
-            let conv_out = Tensor::from_vec(&[PROXY_BATCH, c_out, oh, ow], data)
-                .expect("probe conv output shape");
-            total += probe_tail(&m.shape, &m.spec, &batch, seed, r as u64, conv_out);
-        }
-        scored.push((m.idx, total / PROBE_REPEATS as f64));
-    }
-    scored
+    DIRECT_MEMBERS.add(on_gemm.iter().filter(|&&gemm| !gemm).count() as u64);
+    members.iter().zip(totals).map(|(m, total)| (m.idx, total / PROBE_REPEATS as f64)).collect()
 }
 
 /// One post-truncation tail geometry within a shape class: the members (by
-/// `gemm_members` index) whose BN/readout/backward tails stack into one
+/// index into the class) whose BN/readout/backward tails stack into one
 /// wave.
 struct TailClass {
     c_out: usize,
@@ -832,9 +816,9 @@ impl TailClass {
 /// Fisher delta (Eq. 5, before the mixing factor), **bit-identical** to
 /// running [`probe_tail`] per member:
 ///
-/// 1. gather every member's GEMM product into one `[M, n, c, th, tw]`
-///    tensor (the NCHW scatter and the spatial truncation fused into one
-///    strided copy);
+/// 1. gather every member's conv product (`units`, in member order, each
+///    freed once copied) into one `[M, n, c, th, tw]` tensor (the NCHW
+///    scatter and the spatial truncation fused into one strided copy);
 /// 2. one [`batch_norm2d_batch`] pass (per-unit statistics, bit-identical
 ///    per unit), one fused [`relu`] over the whole stack;
 /// 3. one wide readout GEMM ([`linear_batch`]): all members' activation
@@ -847,8 +831,7 @@ impl TailClass {
 ///    per-member tail reads them.
 fn tail_wave(
     tail: &TailClass,
-    scratches: &[Vec<f32>],
-    r: usize,
+    units: Vec<Vec<f32>>,
     readout_pool: &[f32],
     labels: &[usize],
     (cols, batch_cols, ow): (usize, usize, usize),
@@ -858,11 +841,10 @@ fn tail_wave(
     let unit_len = PROXY_BATCH * c_out * th * tw;
     let features = tail.features();
 
-    // Stacked conv output: truncating strided gather straight from the GEMM
+    // Stacked conv output: truncating strided gather straight from the conv
     // scratches (layout `[c_out, n·cols]`) into unit-major NCHW.
     let mut data = vec![0.0f32; m_count * unit_len];
-    for (ui, &mi) in tail.members.iter().enumerate() {
-        let scratch = &scratches[mi * PROBE_REPEATS as usize + r];
+    for (ui, scratch) in units.into_iter().enumerate() {
         for im in 0..PROXY_BATCH {
             for co in 0..c_out {
                 let src_base = co * batch_cols + im * cols;
@@ -876,13 +858,19 @@ fn tail_wave(
     }
     let stacked = Tensor::from_vec(&[m_count, PROXY_BATCH, c_out, th, tw], data)?;
 
+    // At most three stack-sized buffers are live at once: each one is
+    // dropped or reused as soon as nothing downstream reads it.
     let gamma = vec![1.0f32; c_out];
     let beta = vec![0.0f32; c_out];
     let (bn_out, bn_cache) = batch_norm2d_batch(&stacked, &gamma, &beta)?;
-    let act = relu(&bn_out);
-    // Flatten by moving the buffer (`from_vec` takes ownership): the stacked
+    drop(stacked);
+    // [`relu`] in place, then flatten by moving the buffer: the stacked
     // layout already is `[M·n, features]` row-major.
-    let flat = Tensor::from_vec(&[m_count * PROXY_BATCH, features], act.into_vec())?;
+    let mut act = bn_out.into_vec();
+    for v in &mut act {
+        *v = v.max(0.0);
+    }
+    let flat = Tensor::from_vec(&[m_count * PROXY_BATCH, features], act)?;
 
     // The repeat's shared readout head, sliced from the pooled stream (same
     // fixed `READOUT_STD` scale as the per-member draw).
@@ -893,7 +881,7 @@ fn tail_wave(
 
     let logits = linear_batch(&flat, &w_fc, &bias)?;
     let (_losses, d_logits) = cross_entropy_batch(&logits, labels, m_count)?;
-    let d_flat = linear_d_input_batch(&d_logits, &w_fc)?;
+    let mut d_flat = linear_d_input_batch(&d_logits, &w_fc)?;
 
     // Per-unit Fisher deltas (activation ⊙ gradient, Eq. 4/5) before the
     // backward exercise consumes the gradient buffer.
@@ -911,10 +899,13 @@ fn tail_wave(
         .collect();
 
     // Exercise the remaining backward path (kept from the per-member tail:
-    // a BN that zeroed gradients would zero the score too). In-place mask,
-    // results discarded.
-    let mut d_act = Tensor::from_vec(&[m_count, PROXY_BATCH, c_out, th, tw], d_flat.into_vec())?;
-    relu_backward_in_place(&bn_out, &mut d_act)?;
+    // a BN that zeroed gradients would zero the score too). The ReLU mask
+    // reads the activation in place of the BN output it came from:
+    // `max(v, 0) > 0` exactly where `v > 0` (NaN included), so the masked
+    // gradient is the same bit for bit. Results discarded.
+    relu_backward_in_place(&flat, &mut d_flat)?;
+    drop(flat);
+    let d_act = Tensor::from_vec(&[m_count, PROXY_BATCH, c_out, th, tw], d_flat.into_vec())?;
     let _ = batch_norm2d_backward_batch(&bn_cache, &d_act)?;
 
     Ok(deltas)

@@ -121,7 +121,7 @@ fn smoke() {
 /// op and assert every required metric name is on the Prometheus page —
 /// a disappearing name fails the build before it breaks a dashboard.
 fn metrics_smoke() {
-    const REQUIRED: [&str; 21] = [
+    const REQUIRED: [&str; 22] = [
         // event loop
         "pte_event_loop_wakeups_total",
         "pte_event_loop_poll_iterations_total",
@@ -147,6 +147,7 @@ fn metrics_smoke() {
         "pte_eval_survivors_total",
         // probe plane + grammar coverage
         "pte_probe_memo_lookup_us",
+        "pte_probe_direct_members_total",
         "pte_grammar_coverage_ratio",
     ];
 

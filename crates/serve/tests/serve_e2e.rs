@@ -287,6 +287,7 @@ fn metrics_op_serves_prometheus_text() {
         // probe plane
         "pte_probe_memo_lookup_us",
         "pte_probe_wave_size",
+        "pte_probe_direct_members_total",
         // grammar coverage
         "pte_grammar_coverage_ratio",
     ] {

@@ -12,11 +12,16 @@
 //!
 //! ## Execution paths and the dispatch heuristic
 //!
-//! Two implementations sit behind [`conv2d`] / [`conv2d_backward`]:
+//! Three implementations sit behind [`conv2d`] (two behind
+//! [`conv2d_backward`]):
 //!
 //! * the **naive** 7-deep loop nest ([`conv2d_naive`]) — obviously correct,
 //!   zero setup cost, and the semantic reference everything else is tested
 //!   against;
+//! * the **direct** grouped kernel ([`conv2d_direct_lowered`]) — forward
+//!   only: over the same batched patch matrix as the GEMM path, each output
+//!   row is one long vectorisable axpy per tap, in the naive loop's exact
+//!   per-element order, so it is **bit-identical** to [`conv2d_naive`];
 //! * the **im2col + GEMM** path — lowers the whole batch to one wide patch
 //!   matrix ([`super::im2col::im2col_batch`]) and runs one worker-pool
 //!   parallel matrix product per group ([`super::gemm`], which dispatches to
@@ -28,14 +33,14 @@
 //!   band, and output elements never cross bands).
 //!
 //! Dispatch is on total multiply–accumulate work (`spec.macs(h, w) · n`
-//! against [`GEMM_MIN_MACS`]): the GEMM path pays one `c_in·K²·OH·OW` buffer
-//! per image, which only amortises once there is enough arithmetic to blow
-//! past the naive path's per-point address costs. Fisher-probe convolutions
-//! (the search hot path, ~2 MMAC each) land far above the threshold; the
-//! tiny doctest-sized convolutions land below it and stay on the naive path.
-//! Per-group GEMM shapes degenerate for extreme grouping (depthwise: one row
-//! per group), so grouped dispatch additionally requires a non-trivial
-//! per-group row count.
+//! against [`GEMM_MIN_MACS`]): packing only amortises once there is enough
+//! arithmetic. Fisher-probe convolutions (the search hot path, ~2 MMAC each)
+//! land far above the threshold; tiny doctest-sized convolutions land below
+//! it. Per-group GEMM shapes degenerate for extreme grouping (depthwise: one
+//! row per group), so grouped dispatch additionally requires a non-trivial
+//! per-group row count. Every forward problem the GEMM path declines runs on
+//! the direct kernel; the backward pass keeps the naive scatter for those.
+//! [`set_force_naive`] sends both directions to the naive loops.
 
 use super::gemm::{gemm_nn, gemm_nt, gemm_tn};
 use super::im2col::{col2im, col_dims, im2col, im2col_batch};
@@ -235,18 +240,19 @@ fn check_conv_args(
 /// 2-D convolution forward pass (paper Eq. 1–3).
 ///
 /// `input` is `[n, c_in, h, w]`, `weight` is `[c_out, c_in/groups, k, k]`;
-/// returns `[n, c_out, oh, ow]`. Dispatches between the naive loop nest and
-/// the im2col + GEMM path on problem size (see the module docs); both paths
-/// compute the same operator (to FP-reassociation tolerance).
+/// returns `[n, c_out, oh, ow]`. Dispatches between the im2col + GEMM path
+/// and the direct kernel on problem size (see the module docs): the direct
+/// kernel is bit-identical to [`conv2d_naive`], the GEMM path computes the
+/// same operator to FP-reassociation tolerance.
 ///
 /// # Errors
 /// Returns an error if the spec is inconsistent or shapes do not match it.
 pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let (n, h, w) = check_conv_args(input, weight, spec)?;
-    if use_gemm(spec, n, h, w) {
-        conv2d_gemm_checked(input, weight, spec, n, h, w)
-    } else {
+    if FORCE_NAIVE.load(std::sync::atomic::Ordering::Relaxed) {
         conv2d_naive(input, weight, spec)
+    } else {
+        conv2d_lowered(input, weight, spec, n, h, w, use_gemm(spec, n, h, w))
     }
 }
 
@@ -258,16 +264,31 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
 /// Returns an error if the spec is inconsistent or shapes do not match it.
 pub fn conv2d_gemm(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let (n, h, w) = check_conv_args(input, weight, spec)?;
-    conv2d_gemm_checked(input, weight, spec, n, h, w)
+    conv2d_lowered(input, weight, spec, n, h, w, true)
 }
 
-fn conv2d_gemm_checked(
+/// Forward pass via the batched lowering and the direct kernel
+/// ([`conv2d_direct_lowered`]), bit-identical to [`conv2d_naive`]. Prefer
+/// [`conv2d`], which dispatches here whenever it declines the GEMM path;
+/// this entry point exists for benchmarks and differential tests.
+///
+/// # Errors
+/// Returns an error if the spec is inconsistent or shapes do not match it.
+pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+    let (n, h, w) = check_conv_args(input, weight, spec)?;
+    conv2d_lowered(input, weight, spec, n, h, w, false)
+}
+
+/// The lowered forward pass shared by the GEMM path (`gemm`) and the direct
+/// kernel (`!gemm`): only the per-chunk product differs.
+fn conv2d_lowered(
     input: &Tensor,
     weight: &Tensor,
     spec: &Conv2dSpec,
     n: usize,
     h: usize,
     w: usize,
+    gemm: bool,
 ) -> Result<Tensor> {
     let (oh, ow) = spec.output_hw(h, w);
     let (cig, cog) = (spec.c_in_per_group(), spec.c_out_per_group());
@@ -299,16 +320,20 @@ fn conv2d_gemm_checked(
         let images = chunk.min(n - i0);
         let chunk_cols = images * col_cols;
         im2col_batch(&x[i0 * spec.c_in * h * w..], spec, h, w, images, &mut col);
-        wide[..spec.c_out * chunk_cols].fill(0.0);
-        for g in 0..spec.groups {
-            gemm_nn(
-                cog,
-                group_rows,
-                chunk_cols,
-                &wt[g * cog * group_rows..],
-                &col[g * group_rows * chunk_cols..],
-                &mut wide[g * cog * chunk_cols..],
-            );
+        if gemm {
+            wide[..spec.c_out * chunk_cols].fill(0.0);
+            for g in 0..spec.groups {
+                gemm_nn(
+                    cog,
+                    group_rows,
+                    chunk_cols,
+                    &wt[g * cog * group_rows..],
+                    &col[g * group_rows * chunk_cols..],
+                    &mut wide[g * cog * chunk_cols..],
+                );
+            }
+        } else {
+            conv2d_direct_lowered(spec, wt, &col, chunk_cols, &mut wide);
         }
         // Scatter `[c_out × images·cols]` back to the NCHW output layout.
         for im in 0..images {
@@ -321,9 +346,72 @@ fn conv2d_gemm_checked(
     Ok(out)
 }
 
-/// Forward pass via the reference 7-deep loop nest. Prefer [`conv2d`], which
-/// dispatches here for small problems; this entry point exists for
-/// benchmarks and differential tests.
+/// The direct grouped-convolution kernel over a lowered batch: writes
+/// `out[co, :] = Σ_t W[co, t] · col[g·R + t, :]` for every output channel
+/// `co` of group `g`, where `R = (c_in/G)·K·K` and `col` is the
+/// [`im2col_batch`] patch matrix (`c_in·K·K` rows of `ncols` columns;
+/// images side by side). `out` is `[c_out × ncols]` and fully overwritten.
+///
+/// Each output element keeps [`conv2d_naive`]'s accumulation exactly: start
+/// from `0.0`, add `x·w` over the taps in ascending `(ci, kh, kw)` order —
+/// the patch-row order — with an unfused multiply then add. The only
+/// difference is the padding taps, which the naive loop skips and this
+/// kernel adds as `0·w = ±0`; an accumulator that starts at `+0.0` is never
+/// `-0.0`, so adding `±0` leaves it bit-for-bit unchanged (for finite
+/// weights). The result is therefore bit-identical to [`conv2d_naive`]
+/// (`conv_gemm_parity.rs` pins it), while the work is laid out as long
+/// contiguous row updates that vectorise across output positions — where
+/// extreme grouping would hand GEMM one-row products, all packing overhead.
+///
+/// # Panics
+/// Panics if `weight`, `col` or `out` are shorter than the spec requires.
+pub fn conv2d_direct_lowered(
+    spec: &Conv2dSpec,
+    weight: &[f32],
+    col: &[f32],
+    ncols: usize,
+    out: &mut [f32],
+) {
+    let group_rows = spec.c_in_per_group() * spec.kernel * spec.kernel;
+    let cog = spec.c_out_per_group();
+    assert!(weight.len() >= spec.c_out * group_rows, "conv2d_direct: weight too short");
+    assert!(col.len() >= spec.groups * group_rows * ncols, "conv2d_direct: col too short");
+    assert!(out.len() >= spec.c_out * ncols, "conv2d_direct: out too short");
+    if ncols == 0 {
+        return;
+    }
+    for (co, row) in out.chunks_exact_mut(ncols).take(spec.c_out).enumerate() {
+        let taps = &weight[co * group_rows..(co + 1) * group_rows];
+        let band = &col[(co / cog) * group_rows * ncols..][..group_rows * ncols];
+        row.fill(0.0);
+        // Four taps per pass keep the accumulator in a register between
+        // them; the per-element order is still one tap after another.
+        let mut quads = taps.chunks_exact(4).zip(band.chunks_exact(4 * ncols));
+        for (w, rows) in &mut quads {
+            let (r0, rest) = rows.split_at(ncols);
+            let (r1, rest) = rest.split_at(ncols);
+            let (r2, r3) = rest.split_at(ncols);
+            for ((((acc, &a), &b), &c), &d) in row.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                let mut v = *acc;
+                v += a * w[0];
+                v += b * w[1];
+                v += c * w[2];
+                v += d * w[3];
+                *acc = v;
+            }
+        }
+        let done = taps.len() / 4 * 4;
+        for (&wv, src) in taps[done..].iter().zip(band[done * ncols..].chunks_exact(ncols)) {
+            for (acc, &x) in row.iter_mut().zip(src) {
+                *acc += x * wv;
+            }
+        }
+    }
+}
+
+/// Forward pass via the reference 7-deep loop nest. Prefer [`conv2d`]; this
+/// entry point is the semantic reference for differential tests and the
+/// pre-engine baseline benchmarks time (see [`set_force_naive`]).
 ///
 /// # Errors
 /// Returns an error if the spec is inconsistent or shapes do not match it.

@@ -24,8 +24,9 @@ mod pool;
 
 pub use activation::{relu, relu_backward, relu_backward_in_place};
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_gemm, conv2d_backward_naive, conv2d_gemm,
-    conv2d_naive, set_force_naive, uses_gemm_path, Conv2dGrads, Conv2dSpec, GEMM_MIN_MACS,
+    conv2d, conv2d_backward, conv2d_backward_gemm, conv2d_backward_naive, conv2d_direct,
+    conv2d_direct_lowered, conv2d_gemm, conv2d_naive, set_force_naive, uses_gemm_path, Conv2dGrads,
+    Conv2dSpec, GEMM_MIN_MACS,
 };
 pub use linear::{linear, linear_backward, linear_batch, linear_d_input_batch, LinearGrads};
 pub use loss::{cross_entropy, cross_entropy_batch, softmax};

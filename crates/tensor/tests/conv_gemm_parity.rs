@@ -1,13 +1,15 @@
 //! Differential properties: the im2col + GEMM convolution path must compute
 //! the same operator as the reference naive loop nest — forward and backward
 //! — across random specs (stride, padding, groups, bottlenecked widths), and
-//! the public `conv2d` dispatcher must agree with both.
+//! the public `conv2d` dispatcher must agree with both. The direct grouped
+//! kernel, and `conv2d` wherever it dispatches there, must match the naive
+//! loop to the last bit.
 
 use proptest::prelude::*;
 
 use pte_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_gemm, conv2d_backward_naive, conv2d_gemm,
-    conv2d_naive, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_gemm, conv2d_backward_naive, conv2d_direct,
+    conv2d_gemm, conv2d_naive, uses_gemm_path, Conv2dSpec,
 };
 use pte_tensor::Tensor;
 
@@ -33,6 +35,70 @@ fn arb_case() -> impl Strategy<Value = (Conv2dSpec, usize, usize, usize)> {
                 .with_groups(g);
             (spec, n, h, w)
         })
+}
+
+/// Specs for the direct kernel: group counts from standard (`G = 1`) to
+/// depthwise (`G = c_in = c_out`), the `c_out_per_group` 1–3 range the GEMM
+/// dispatcher declines plus wider groups it accepts, kernels 1/3/5, strides
+/// 1/2, every padding in `0..=k/2`, ragged (odd, non-square) inputs, and
+/// batches of 1 and the probe's 8.
+fn arb_direct_case() -> impl Strategy<Value = (Conv2dSpec, usize, usize, usize)> {
+    (
+        prop::sample::select(vec![1usize, 2, 3, 8]),    // groups
+        prop::sample::select(vec![1usize, 2, 3]),       // c_in per group
+        prop::sample::select(vec![1usize, 2, 3, 4, 6]), // c_out per group
+        prop::sample::select(vec![1usize, 3, 5]),       // kernel
+        1usize..3,                                      // stride
+        0usize..3,                                      // padding (clamped to k/2)
+        prop::sample::select(vec![1usize, 8]),          // batch
+        5usize..12,                                     // h
+        5usize..12,                                     // w
+        any::<bool>(),                                  // depthwise override
+    )
+        .prop_map(|(g, cipg, copg, k, s, p, n, h, w, depthwise)| {
+            let (g, cipg, copg) = if depthwise { (g.max(2) * 2, 1, 1) } else { (g, cipg, copg) };
+            let spec = Conv2dSpec::new(g * cipg, g * copg, k)
+                .with_stride(s)
+                .with_padding(p.min(k / 2))
+                .with_groups(g);
+            (spec, n, h, w)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Forward: the direct kernel ≡ the naive loop, bitwise, and so is the
+    /// `conv2d` dispatcher on every problem (direct, or GEMM, whose kernels
+    /// also accumulate each element in ascending `k`, unfused).
+    #[test]
+    fn direct_kernel_and_dispatcher_are_bitwise_naive(
+        (spec, n, h, w) in arb_direct_case(),
+        seed in 0u64..1000,
+    ) {
+        let x = Tensor::randn(&[n, spec.c_in, h, w], seed);
+        let wt = Tensor::randn(&spec.weight_dims(), seed ^ 0xD1EC);
+        let naive = conv2d_naive(&x, &wt, &spec).unwrap();
+        let direct = conv2d_direct(&x, &wt, &spec).unwrap();
+        let dispatched = conv2d(&x, &wt, &spec).unwrap();
+        prop_assert_eq!(direct.shape(), naive.shape());
+        for (i, ((d, c), r)) in direct.iter().zip(dispatched.iter()).zip(naive.iter()).enumerate() {
+            prop_assert_eq!(
+                d.to_bits(), r.to_bits(), "spec {:?} n={} {}x{}: direct differs at {}", spec, n, h, w, i
+            );
+            prop_assert_eq!(
+                c.to_bits(),
+                r.to_bits(),
+                "spec {:?} n={} {}x{} (gemm: {}): conv2d differs at {}",
+                spec,
+                n,
+                h,
+                w,
+                uses_gemm_path(&spec, n, h, w),
+                i
+            );
+        }
+    }
 }
 
 proptest! {
@@ -85,8 +151,9 @@ proptest! {
     }
 }
 
-/// Depthwise stays on the naive path by design, but the GEMM path must still
-/// be *correct* there (the dispatcher guard is a performance choice).
+/// Depthwise stays off the GEMM path by design (it runs on the direct
+/// kernel), but the GEMM path must still be *correct* there (the dispatcher
+/// guard is a performance choice).
 #[test]
 fn depthwise_gemm_path_is_correct() {
     let spec = Conv2dSpec::new(8, 8, 3).with_padding(1).with_groups(8);
